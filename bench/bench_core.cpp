@@ -354,6 +354,8 @@ core::SimulationConfig RoundConfigFor(const datasets::Dataset& dataset) {
   return config;
 }
 
+/// Per-message rounds, one message at a time through the channel stack —
+/// the baseline the compiled and parallel sweeps are measured against.
 bench::BenchJsonEntry RoundSequential(const datasets::Dataset& dataset,
                                       const std::string& label,
                                       std::size_t rounds, std::size_t repeats) {
@@ -362,7 +364,7 @@ bench::BenchJsonEntry RoundSequential(const datasets::Dataset& dataset,
       "round_throughput/" + label + "sequential/n" +
           std::to_string(dataset.NodeCount()),
       rounds * dataset.NodeCount(), /*warmup=*/1, repeats,
-      [&] { simulation.RunRounds(rounds); });
+      [&] { simulation.RunRoundsPerMessage(rounds); });
 }
 
 bench::BenchJsonEntry RoundParallel(const datasets::Dataset& dataset,

@@ -344,7 +344,7 @@ void DeploymentEngine::ParallelRoundSweep(common::ThreadPool& pool) {
   measurement_count_ += n - dropped;
 }
 
-void DeploymentEngine::CompiledRoundSweep() {
+void DeploymentEngine::CompiledRoundSweep(const linalg::KernelOps& kernels) {
   if (config_.probe_burst > 1) {
     // The compiled gather models one exchange per node per round, like the
     // parallel sweep; batched rounds run through the sequential driver.
@@ -378,20 +378,20 @@ void DeploymentEngine::CompiledRoundSweep() {
   }
 
   if (abw_) {
-    ExecuteCompiledAbwRound();
+    ExecuteCompiledAbwRound(kernels);
   } else {
-    ExecuteCompiledRttRound();
+    ExecuteCompiledRttRound(kernels);
   }
 }
 
-void DeploymentEngine::ExecuteCompiledRttRound() {
+void DeploymentEngine::ExecuteCompiledRttRound(
+    const linalg::KernelOps& kernels) {
   // Original gather order *is* ascending-prober row-major order (one edge
   // per prober), and an Algorithm-1 exchange writes only the prober's own
   // rows, so executing the edges in order against the live store replays
   // every mid-round coordinate read the sequential channel drain performs —
   // the remote rows here are live for the same reason the per-message
   // reply's copies were fresh at reply time.
-  const linalg::KernelOps& kernels = linalg::ActiveKernels();
   const std::size_t r = config_.rank;
   for (const RoundEdge& edge : round_coo_.Edges()) {
     const double x = MeasurementFor(edge.prober, edge.target, std::nullopt);
@@ -404,14 +404,14 @@ void DeploymentEngine::ExecuteCompiledRttRound() {
   }
 }
 
-void DeploymentEngine::ExecuteCompiledAbwRound() {
+void DeploymentEngine::ExecuteCompiledAbwRound(
+    const linalg::KernelOps& kernels) {
   // Group by updated v row, stable by message order: per target the updates
   // apply in ascending-prober order — the exact per-message sequence — and
   // exchanges aimed at different targets commute because u_i is read and
   // written only by prober i's own exchange (one probe per node per round).
   const std::size_t n = nodes_.size();
   round_coo_.GroupByTarget(n);
-  const linalg::KernelOps& kernels = linalg::ActiveKernels();
   const std::size_t r = config_.rank;
   const auto& edges = round_coo_.Edges();
   std::vector<double> v_pre(r);

@@ -239,12 +239,12 @@ class DeploymentEngine {
   /// gathered edges — in original order (Algorithm 1) or grouped by target
   /// row, stable by message order (Algorithm 2) — as one fused kernel sweep
   /// with no channel, no variant dispatch and no per-message coordinate
-  /// copies.  With the scalar kernel table the result is bit-identical to
-  /// RunRounds' round over an immediate channel (counters included); vector
-  /// tables differ only in dot accumulation order.  Rejects probe_burst > 1
-  /// (the compiled gather models one exchange per node per round) and trace
-  /// overrides (which need an immediate channel).
-  void CompiledRoundSweep();
+  /// copies.  With the scalar `kernels` table the result is bit-identical
+  /// to a per-message round over an immediate channel (counters included);
+  /// vector tables differ only in dot accumulation order.  Rejects
+  /// probe_burst > 1 (the compiled gather models one exchange per node per
+  /// round).
+  void CompiledRoundSweep(const linalg::KernelOps& kernels);
 
   // -- sharded event drains ------------------------------------------------
 
@@ -353,8 +353,8 @@ class DeploymentEngine {
   void CompiledParallelAbwSweep(common::ThreadPool& pool);
 
   /// The sequential execute passes shared by CompiledRoundSweep.
-  void ExecuteCompiledRttRound();
-  void ExecuteCompiledAbwRound();
+  void ExecuteCompiledRttRound(const linalg::KernelOps& kernels);
+  void ExecuteCompiledAbwRound(const linalg::KernelOps& kernels);
 
   /// The training value for pair (i, j): class label (possibly corrupted) or
   /// τ-normalized quantity (the DESIGN.md §3 substitution).

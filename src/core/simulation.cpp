@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/wire.hpp"
+#include "linalg/kernels.hpp"
 
 namespace dmfsgd::core {
 
@@ -26,6 +27,21 @@ DmfsgdSimulation::DmfsgdSimulation(const datasets::Dataset& dataset,
     : engine_(dataset, config, injector, BuildStack(config)) {}
 
 void DmfsgdSimulation::RunRounds(std::size_t rounds) {
+  if (engine_.config().probe_burst > 1 || coalescing_.has_value() ||
+      wire_.has_value()) {
+    RunRoundsPerMessage(rounds);
+    return;
+  }
+  // The scalar table keeps the compiled round bit-identical to the
+  // per-message handlers under every active ISA.
+  const linalg::KernelOps& scalar =
+      linalg::KernelsFor(linalg::KernelIsa::kScalar);
+  for (std::size_t round = 0; round < rounds; ++round) {
+    engine_.CompiledRoundSweep(scalar);  // includes the churn sweep
+  }
+}
+
+void DmfsgdSimulation::RunRoundsPerMessage(std::size_t rounds) {
   const std::size_t n = engine_.NodeCount();
   const std::size_t burst = engine_.config().probe_burst;
   for (std::size_t round = 0; round < rounds; ++round) {
@@ -57,8 +73,9 @@ void DmfsgdSimulation::RunRoundsParallel(std::size_t rounds,
 }
 
 void DmfsgdSimulation::RunRoundsCompiled(std::size_t rounds) {
+  const linalg::KernelOps& kernels = linalg::ActiveKernels();
   for (std::size_t round = 0; round < rounds; ++round) {
-    engine_.CompiledRoundSweep();  // includes the churn sweep
+    engine_.CompiledRoundSweep(kernels);  // includes the churn sweep
   }
 }
 

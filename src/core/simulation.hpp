@@ -13,7 +13,9 @@
 // Exchanges are delivered atomically through an ImmediateDeliveryChannel;
 // with `use_wire_format` every message additionally round-trips through the
 // binary wire codec (a WireCodecDeliveryChannel decorator), proving the
-// protocol is implementable over a datagram transport.  All protocol,
+// protocol is implementable over a datagram transport.  Where no decorator
+// or burst needs the channel, RunRounds skips it and runs each round as one
+// compiled sweep (DESIGN.md §14) with the same bits.  All protocol,
 // membership, measurement and loss semantics live in the engine and are
 // shared verbatim with the asynchronous driver (async_simulation.hpp).
 #pragma once
@@ -37,8 +39,17 @@ class DmfsgdSimulation {
 
   /// Runs `rounds` probing rounds (static datasets); in each round every
   /// node probes one neighbor.  Usable with trace datasets too (the static
-  /// median matrix is then the measurement source).
+  /// median matrix is then the measurement source).  Runs the compiled
+  /// round sweep with the scalar kernel table whenever the config allows it
+  /// (probe_burst == 1, no coalescing, no wire codec), else the per-message
+  /// loop; the two are bit-identical, so the result does not depend on the
+  /// path or on the active kernel ISA (DESIGN.md §14).
   void RunRounds(std::size_t rounds);
+
+  /// RunRounds through the channel stack, one message at a time — the path
+  /// for probe bursts, coalesced delivery and the wire codec, and the
+  /// parity oracle of the compiled round sweep.
+  void RunRoundsPerMessage(std::size_t rounds);
 
   /// Runs `rounds` probing rounds with each round's per-node sweep spread
   /// over `pool`.  Bit-identical for every pool size — see
@@ -48,10 +59,11 @@ class DmfsgdSimulation {
   void RunRoundsParallel(std::size_t rounds, common::ThreadPool& pool);
 
   /// Runs `rounds` probing rounds through the sparse round compiler
-  /// (DESIGN.md §14): each round is gathered into row-major COO and
-  /// executed as one fused sweep.  Bit-identical to RunRounds under the
-  /// scalar kernel table — see DeploymentEngine::CompiledRoundSweep.
-  /// Requires probe_burst == 1.
+  /// (DESIGN.md §14) with the *active* kernel table: each round is gathered
+  /// into row-major COO and executed as one fused sweep.  Bit-identical to
+  /// RunRounds when the active table is scalar; vector tables differ only
+  /// in dot accumulation order — see DeploymentEngine::CompiledRoundSweep.
+  /// Bypasses the channel stack.  Requires probe_burst == 1.
   void RunRoundsCompiled(std::size_t rounds);
 
   /// Replays trace records [begin, end) in time order; returns the number of
@@ -151,9 +163,9 @@ class DmfsgdSimulation {
 
   /// Channel stack: immediate delivery, optionally decorated by the wire
   /// codec, optionally wrapped outermost by the coalescing decorator
-  /// (config.coalesce_delivery — RunRounds then flushes each node's probe
-  /// burst as batch envelopes, DESIGN.md §13).  Declared before the engine,
-  /// which binds its sink onto them.
+  /// (config.coalesce_delivery — RunRoundsPerMessage then flushes each
+  /// node's probe burst as batch envelopes, DESIGN.md §13).  Declared
+  /// before the engine, which binds its sink onto them.
   ImmediateDeliveryChannel immediate_;
   std::optional<WireCodecDeliveryChannel> wire_;
   std::optional<CoalescingDeliveryChannel> coalescing_;

@@ -94,7 +94,7 @@ TEST(CoalescedRounds, BitIdenticalAcrossStrategiesChurnAndLoss) {
 
     DmfsgdSimulation per_message(dataset, config);
     DmfsgdSimulation batched(dataset, coalesced);
-    per_message.RunRounds(40);
+    per_message.RunRoundsPerMessage(40);
     batched.RunRounds(40);
     ExpectSameCoordinates(per_message.engine(), batched.engine(),
                           ProbeStrategyName(strategy));
@@ -111,7 +111,7 @@ TEST(CoalescedRounds, BitIdenticalThroughTheWireCodec) {
   coalesced.coalesce_delivery = true;
   DmfsgdSimulation per_message(dataset, config);
   DmfsgdSimulation batched(dataset, coalesced);
-  per_message.RunRounds(30);
+  per_message.RunRoundsPerMessage(30);
   batched.RunRounds(30);
   ExpectSameCoordinates(per_message.engine(), batched.engine(), "wire");
 }

@@ -116,7 +116,7 @@ void ExpectCompiledMatchesPerMessage(const Dataset& dataset,
                                      std::size_t rounds, const char* what) {
   DmfsgdSimulation per_message(dataset, config);
   DmfsgdSimulation compiled(dataset, config);
-  per_message.RunRounds(rounds);
+  per_message.RunRoundsPerMessage(rounds);
   compiled.RunRoundsCompiled(rounds);
   ExpectBitIdentical(per_message, compiled, what);
 }
@@ -132,7 +132,7 @@ TEST(CompiledRound, RttBitIdenticalWithLossAndChurn) {
   config.churn_rate = 0.02;
   DmfsgdSimulation per_message(dataset, config);
   DmfsgdSimulation compiled(dataset, config);
-  per_message.RunRounds(40);
+  per_message.RunRoundsPerMessage(40);
   compiled.RunRoundsCompiled(40);
   EXPECT_GT(compiled.DroppedLegs(), 0u);
   EXPECT_GT(compiled.ChurnCount(), 0u);
@@ -172,7 +172,7 @@ TEST(CompiledRoundAlg2, AbwBitIdenticalWithLossAndChurn) {
   config.churn_rate = 0.02;
   DmfsgdSimulation per_message(dataset, config);
   DmfsgdSimulation compiled(dataset, config);
-  per_message.RunRounds(40);
+  per_message.RunRoundsPerMessage(40);
   compiled.RunRoundsCompiled(40);
   EXPECT_GT(compiled.DroppedLegs(), 0u);
   EXPECT_GT(compiled.ChurnCount(), 0u);

@@ -3,7 +3,7 @@
 // load-bearing properties pinned here:
 //
 //  * non-interference — enabling tracking is bit-identical to not enabling
-//    it, on the sequential, parallel, and compiled drivers (marking a dirty
+//    it, on the per-message, parallel, and compiled drivers (marking a dirty
 //    byte never touches an RNG or a coordinate);
 //  * completeness — every row that changed since the last drain is in the
 //    dirty set (missing a drifted row would silently rot the index);
@@ -47,7 +47,7 @@ SimulationConfig BaseConfig(const Dataset& dataset) {
   return config;
 }
 
-enum class Driver { kSequential, kParallel, kCompiled };
+enum class Driver { kPerMessage, kParallel, kCompiled };
 
 std::unique_ptr<DmfsgdSimulation> RunDriver(const Dataset& dataset,
                                       const SimulationConfig& config,
@@ -58,8 +58,8 @@ std::unique_ptr<DmfsgdSimulation> RunDriver(const Dataset& dataset,
     simulation->EnableDriftTracking();
   }
   switch (driver) {
-    case Driver::kSequential:
-      simulation->RunRounds(rounds);
+    case Driver::kPerMessage:
+      simulation->RunRoundsPerMessage(rounds);
       break;
     case Driver::kParallel: {
       common::ThreadPool pool(4);
@@ -92,7 +92,7 @@ TEST(DriftTracking, NeverPerturbsTraining) {
     config.message_loss = 0.1;
     config.churn_rate = 0.01;
     for (const Driver driver :
-         {Driver::kSequential, Driver::kParallel, Driver::kCompiled}) {
+         {Driver::kPerMessage, Driver::kParallel, Driver::kCompiled}) {
       if (driver == Driver::kCompiled) {
         config.churn_rate = 0.0;  // compiled sweeps take the no-churn path
       }
@@ -106,7 +106,7 @@ TEST(DriftTracking, NeverPerturbsTraining) {
 TEST(DriftTracking, DirtySetCoversEveryChangedRow) {
   for (const Dataset& dataset : {SmallRtt(), SmallAbw()}) {
     for (const Driver driver :
-         {Driver::kSequential, Driver::kParallel, Driver::kCompiled}) {
+         {Driver::kPerMessage, Driver::kParallel, Driver::kCompiled}) {
       auto simulation =
           std::make_unique<DmfsgdSimulation>(dataset, BaseConfig(dataset));
       simulation->EnableDriftTracking();
@@ -118,8 +118,8 @@ TEST(DriftTracking, DirtySetCoversEveryChangedRow) {
                                          store.VData().end());
 
       switch (driver) {
-        case Driver::kSequential:
-          simulation->RunRounds(15);
+        case Driver::kPerMessage:
+          simulation->RunRoundsPerMessage(15);
           break;
         case Driver::kParallel: {
           common::ThreadPool pool(3);

@@ -154,8 +154,8 @@ TEST(MiniBatch, WithoutCoalescingEnvelopesAreSingletonsAndMatchLegacy) {
     minibatch.gradient_batch_size = 8;
     DmfsgdSimulation a(dataset, legacy);
     DmfsgdSimulation b(dataset, minibatch);
-    a.RunRounds(30);
-    b.RunRounds(30);
+    a.RunRoundsPerMessage(30);
+    b.RunRoundsPerMessage(30);
     const auto ua = a.engine().store().UData();
     const auto ub = b.engine().store().UData();
     for (std::size_t d = 0; d < ua.size(); ++d) {

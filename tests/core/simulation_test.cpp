@@ -125,7 +125,7 @@ TEST(Simulation, WireFormatDoesNotChangeResults) {
   DmfsgdSimulation plain(dataset, config);
   config.use_wire_format = true;
   DmfsgdSimulation wired(dataset, config);
-  plain.RunRounds(50);
+  plain.RunRoundsPerMessage(50);
   wired.RunRounds(50);
   for (std::size_t i = 0; i < 20; ++i) {
     for (std::size_t j = 0; j < 20; ++j) {
@@ -142,7 +142,7 @@ TEST(Simulation, AbwWireFormatEquivalenceToo) {
   DmfsgdSimulation plain(dataset, config);
   config.use_wire_format = true;
   DmfsgdSimulation wired(dataset, config);
-  plain.RunRounds(30);
+  plain.RunRoundsPerMessage(30);
   wired.RunRounds(30);
   for (std::size_t i = 0; i < 15; ++i) {
     for (std::size_t j = 0; j < 15; ++j) {

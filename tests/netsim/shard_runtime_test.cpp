@@ -28,8 +28,8 @@ TEST(BlockRange, SplitsLikeTheShardOwnerMapping) {
   EXPECT_EQ(BlockRange(10, 3, 0), (std::pair<std::size_t, std::size_t>{0, 4}));
   EXPECT_EQ(BlockRange(10, 3, 1), (std::pair<std::size_t, std::size_t>{4, 7}));
   EXPECT_EQ(BlockRange(10, 3, 2), (std::pair<std::size_t, std::size_t>{7, 10}));
-  EXPECT_THROW(BlockRange(10, 0, 0), std::invalid_argument);
-  EXPECT_THROW(BlockRange(10, 3, 3), std::invalid_argument);
+  EXPECT_THROW((void)BlockRange(10, 0, 0), std::invalid_argument);
+  EXPECT_THROW((void)BlockRange(10, 3, 3), std::invalid_argument);
   // Consistency with OwnersOfShard: the queue's shard blocks are the same split.
   const ShardedEventQueue queue(10, 3);
   for (std::size_t s = 0; s < 3; ++s) {
