@@ -69,7 +69,16 @@
 //                               the gap is smaller; _n1m the million-node
 //                               tier, where it is widest)
 //   ann_index_build_seconds_n1m wall-clock build of the n = 10⁶ graph +
-//                               coarse layer (capacity planning scalar)
+//                               coarse layer over the hw-thread pool
+//                               (capacity planning scalar).  The tracked
+//                               BENCH_core.json value (386 s, hw_threads
+//                               = 1) predates the batched build: it is the
+//                               old serial insertion loop, so a new run
+//                               compares with it only at hw_threads = 1
+//                               until the record is regenerated
+//   ann_build_parallel_scaling  1-thread vs hw-thread index build time at
+//                               n = 65536 (the batched build, DESIGN.md
+//                               §16; the adjacency is identical)
 //   svc_query_parallel_scaling  hw-thread vs 1-thread quiescent query
 //                               throughput through the service's shared
 //                               read lock, n = 65536 tier (1.0 on
@@ -623,12 +632,15 @@ double InterShardFrameGain(std::size_t n, double horizon_s) {
 /// index, then measure k-NN queries against the fresh store.  Recall is
 /// computed against the fresh-coordinate oracle (the staleness acceptance
 /// of the query plane), throughput with warmup + min-of-k over one shared
-/// deterministic query sample.
+/// deterministic query sample.  The index builds (and the oracle fans out)
+/// over `pool`; with `build_scaling` the build repeats inline on one
+/// thread for ann_build_parallel_scaling.
 struct AnnPlaneResult {
   bench::BenchJsonEntry brute;
   bench::BenchJsonEntry index;
   double recall_at_10 = 0.0;
   double build_seconds = 0.0;  ///< wall-clock of the index construction
+  double build_scaling = 0.0;  ///< 1-thread / pooled build time (0 = not run)
 };
 
 /// Tier-scaled index options (DESIGN.md §18): the query beam widens with
@@ -653,7 +665,7 @@ ann::PeerIndexOptions AnnOptionsForTier(std::size_t n) {
 AnnPlaneResult AnnQueryPlane(const datasets::Dataset& dataset,
                              std::size_t train_rounds,
                              std::size_t drift_rounds, std::size_t repeats,
-                             common::ThreadPool* oracle_pool) {
+                             common::ThreadPool* pool, bool build_scaling) {
   core::DmfsgdSimulation simulation(dataset, RoundConfigFor(dataset));
   simulation.RunRoundsCompiled(train_rounds);
   simulation.EnableDriftTracking();
@@ -661,10 +673,22 @@ AnnPlaneResult AnnQueryPlane(const datasets::Dataset& dataset,
   const core::CoordinateStore& store = simulation.engine().store();
   const ann::PeerIndexOptions options = AnnOptionsForTier(dataset.NodeCount());
   const auto build_start = std::chrono::steady_clock::now();
-  ann::PeerIndex index(store, options);
+  ann::PeerIndex index(store, options, pool);
   const auto build_stop = std::chrono::steady_clock::now();
+  AnnPlaneResult result;
+  result.build_seconds =
+      std::chrono::duration<double>(build_stop - build_start).count();
+  if (build_scaling) {
+    // The same build inline on one thread (same adjacency, by contract).
+    const auto serial_start = std::chrono::steady_clock::now();
+    const ann::PeerIndex serial(store, options);
+    const auto serial_stop = std::chrono::steady_clock::now();
+    result.build_scaling =
+        std::chrono::duration<double>(serial_stop - serial_start).count() /
+        result.build_seconds;
+  }
   simulation.RunRoundsCompiled(drift_rounds);
-  (void)index.ApplyUpdates(simulation.TakeDirtyNodes());
+  (void)index.ApplyUpdates(simulation.TakeDirtyNodes(), pool);
 
   const std::size_t n = store.NodeCount();
   // The million-node tier keeps the query sample small: every recall query
@@ -677,16 +701,13 @@ AnnPlaneResult AnnQueryPlane(const datasets::Dataset& dataset,
     queries.push_back(q * (n / query_count));
   }
 
-  AnnPlaneResult result;
-  result.build_seconds =
-      std::chrono::duration<double>(build_stop - build_start).count();
   constexpr std::size_t kK = 10;
   double recall_sum = 0.0;
   for (const std::size_t q : queries) {
     const auto approx =
         index.SearchFrom(q, kK, eval::KnnOrdering::kSmallestFirst);
     const auto oracle = eval::BruteForceKnnAll(
-        store, q, kK, eval::KnnOrdering::kSmallestFirst, oracle_pool);
+        store, q, kK, eval::KnnOrdering::kSmallestFirst, pool);
     recall_sum += eval::RecallAtK(approx, oracle);
   }
   result.recall_at_10 = recall_sum / static_cast<double>(queries.size());
@@ -977,7 +998,8 @@ int main(int argc, char** argv) {
   double ann_recall_1m = 0.0;
   double ann_speedup_1m = 0.0;
   double ann_build_seconds_1m = 0.0;
-  common::ThreadPool oracle_pool(hw);
+  double ann_build_scaling = 0.0;
+  common::ThreadPool ann_pool(hw);  // index builds and the recall oracle
   std::vector<std::size_t> ann_tiers{8192, 65536};
   if (!quick) {
     ann_tiers.push_back(1000000);
@@ -999,8 +1021,9 @@ int main(int argc, char** argv) {
     const std::size_t drift_rounds = n > 65536 ? 2 : 5;
     const std::size_t ann_repeats =
         n > 65536 ? std::min<std::size_t>(repeats, 2) : repeats;
-    const auto ann_result = AnnQueryPlane(dataset, train_rounds, drift_rounds,
-                                          ann_repeats, &oracle_pool);
+    const auto ann_result =
+        AnnQueryPlane(dataset, train_rounds, drift_rounds, ann_repeats,
+                      &ann_pool, /*build_scaling=*/n == 65536);
     entries.push_back(ann_result.brute);
     entries.push_back(ann_result.index);
     const double speedup =
@@ -1012,6 +1035,7 @@ int main(int argc, char** argv) {
     } else if (n > 8192) {
       ann_recall_65536 = ann_result.recall_at_10;
       ann_speedup_65536 = speedup;
+      ann_build_scaling = ann_result.build_scaling;
     } else {
       ann_recall_8192 = ann_result.recall_at_10;
       ann_speedup_8192 = speedup;
@@ -1198,6 +1222,7 @@ int main(int argc, char** argv) {
          {"ann_recall_at_10_n1m", ann_recall_1m},
          {"ann_qps_speedup_n1m", ann_speedup_1m},
          {"ann_index_build_seconds_n1m", ann_build_seconds_1m},
+         {"ann_build_parallel_scaling", ann_build_scaling},
          {"svc_query_parallel_scaling", svc_query_parallel_scaling},
          {"svc_query_p50_ms", svc_p50_65536},
          {"svc_query_p50_ms_n8192", svc_p50_8192},
@@ -1236,6 +1261,7 @@ int main(int argc, char** argv) {
       "ann_recall_at_10: %.3f (n8192 %.3f, n1m %.3f)  "
       "ann_qps_speedup: %.3fx (n8192 %.3fx, n1m %.3fx)  "
       "ann_index_build_seconds_n1m: %.1f  "
+      "ann_build_parallel_scaling: %.3fx  "
       "svc_query_parallel_scaling: %.3fx  "
       "svc_query_p50_ms: %.4f  svc_query_p99_ms: %.4f  "
       "svc_ingest_throughput: %.0f/s  svc_coord_staleness: %.0f  "
@@ -1249,7 +1275,7 @@ int main(int argc, char** argv) {
       sgd_speedup, matrix_scaling, hw, round_scaling, coo_speedup,
       coo_speedup_8192, coo_speedup_65536, ann_recall_65536, ann_recall_8192,
       ann_recall_1m, ann_speedup_65536, ann_speedup_8192, ann_speedup_1m,
-      ann_build_seconds_1m, svc_query_parallel_scaling, svc_p50_65536,
+      ann_build_seconds_1m, ann_build_scaling, svc_query_parallel_scaling, svc_p50_65536,
       svc_p99_65536, svc_ingest_65536, svc_stale_65536, alg2_scaling,
       async_scaling, async_distributed_scaling, pair_window_gain,
       async_coalesced_event_gain, intershard_frame_gain,

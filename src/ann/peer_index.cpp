@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace dmfsgd::ann {
 
@@ -32,6 +33,18 @@ const PeerIndexOptions& RequireOptions(const PeerIndexOptions& options) {
     }
   }
   return options;
+}
+
+/// Runs fn over [begin, end) in the pool's fixed blocks, or inline on the
+/// caller without a pool.
+template <typename Fn>
+void ForEachBlock(common::ThreadPool* pool, std::size_t begin, std::size_t end,
+                  const Fn& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(begin, end, fn);
+  } else {
+    fn(begin, end);
+  }
 }
 
 }  // namespace
@@ -65,7 +78,7 @@ void PeerIndex::ReleaseScratch(std::unique_ptr<SearchScratch> scratch) const {
 }
 
 PeerIndex::PeerIndex(const core::CoordinateStore& store,
-                     const PeerIndexOptions& options)
+                     const PeerIndexOptions& options, common::ThreadPool* pool)
     : store_(&store),
       options_(RequireOptions(options)),
       rank_(store.rank()),
@@ -76,17 +89,16 @@ PeerIndex::PeerIndex(const core::CoordinateStore& store,
   snap_v_.reserve(n * rank_);
   adj_.reserve(n * options_.degree);
   adj_len_.reserve(n);
-  SearchScratch scratch;
   for (std::size_t id = 0; id < n; ++id) {
-    const Slot slot = AppendSlot(id);
-    LinkSlot(slot, slot, scratch);
+    (void)AppendSlot(id);
   }
+  LinkAll(pool);
   BuildCoarse();
 }
 
 PeerIndex::PeerIndex(const core::CoordinateStore& store,
                      std::span<const std::size_t> members,
-                     const PeerIndexOptions& options)
+                     const PeerIndexOptions& options, common::ThreadPool* pool)
     : store_(&store),
       options_(RequireOptions(options)),
       rank_(store.rank()),
@@ -96,7 +108,6 @@ PeerIndex::PeerIndex(const core::CoordinateStore& store,
   snap_v_.reserve(members.size() * rank_);
   adj_.reserve(members.size() * options_.degree);
   adj_len_.reserve(members.size());
-  SearchScratch scratch;
   for (const std::size_t id : members) {
     if (id >= store.NodeCount()) {
       throw std::out_of_range("PeerIndex: member id out of range");
@@ -104,9 +115,9 @@ PeerIndex::PeerIndex(const core::CoordinateStore& store,
     if (slot_of_[id] != kNoSlot) {
       throw std::invalid_argument("PeerIndex: duplicate member id");
     }
-    const Slot slot = AppendSlot(id);
-    LinkSlot(slot, slot, scratch);
+    (void)AppendSlot(id);
   }
+  LinkAll(pool);
   BuildCoarse();
 }
 
@@ -144,13 +155,15 @@ PeerIndex::Slot PeerIndex::AppendSlot(std::size_t id) {
 }
 
 void PeerIndex::SelectNeighbors(const std::vector<RankedSlot>& candidates,
-                                std::vector<Slot>& chosen) const {
+                                SearchScratch& scratch) const {
   // Relative-neighborhood prune: a candidate already "covered" by a chosen
   // neighbor (closer to it than to the subject) is skipped first and only
   // backfilled if the list stays short — the DEG/HNSW diversity heuristic
   // that keeps greedy routing from collapsing into one cluster.
+  std::vector<Slot>& chosen = scratch.chosen;
+  std::vector<Slot>& pruned = scratch.pruned;
   chosen.clear();
-  std::vector<Slot> pruned;
+  pruned.clear();
   for (const RankedSlot& candidate : candidates) {
     if (chosen.size() >= options_.degree) {
       break;
@@ -176,7 +189,7 @@ void PeerIndex::SelectNeighbors(const std::vector<RankedSlot>& candidates,
   }
 }
 
-void PeerIndex::LinkBack(Slot to, Slot from) {
+void PeerIndex::LinkBack(Slot to, Slot from, SearchScratch& scratch) {
   Slot* edges = adj_.data() + static_cast<std::size_t>(to) * options_.degree;
   for (std::uint32_t e = 0; e < adj_len_[to]; ++e) {
     if (edges[e] == from) {
@@ -190,17 +203,16 @@ void PeerIndex::LinkBack(Slot to, Slot from) {
   // Full list: re-prune the union of the existing edges and the newcomer
   // relative to `to`'s snapshot; the newcomer survives only if it beats the
   // diversity of what is already there.
-  std::vector<RankedSlot> candidates;
-  candidates.reserve(options_.degree + 1);
+  std::vector<RankedSlot>& candidates = scratch.relink;
+  candidates.clear();
   for (std::uint32_t e = 0; e < adj_len_[to]; ++e) {
     candidates.push_back(RankedSlot{SnapDistanceSquared(to, edges[e]), edges[e]});
   }
   candidates.push_back(RankedSlot{SnapDistanceSquared(to, from), from});
   std::sort(candidates.begin(), candidates.end(), Better);
-  std::vector<Slot> chosen;
-  SelectNeighbors(candidates, chosen);
-  adj_len_[to] = static_cast<std::uint32_t>(chosen.size());
-  std::copy(chosen.begin(), chosen.end(), edges);
+  SelectNeighbors(candidates, scratch);
+  adj_len_[to] = static_cast<std::uint32_t>(scratch.chosen.size());
+  std::copy(scratch.chosen.begin(), scratch.chosen.end(), edges);
 }
 
 template <typename KeyFn>
@@ -279,30 +291,79 @@ void PeerIndex::BeamSearch(std::span<const Slot> entries, std::size_t ef,
   std::sort(out.begin(), out.end(), Better);
 }
 
-void PeerIndex::LinkSlot(Slot slot, std::size_t linked, SearchScratch& scratch) {
+void PeerIndex::InsertBatch(Slot begin, Slot end, std::size_t linked,
+                            common::ThreadPool* pool) {
   if (linked == 0) {
-    adj_len_[slot] = 0;
+    std::fill(adj_len_.begin() + begin, adj_len_.begin() + end, 0);
     return;
   }
-  // Entry points come from the index Rng: construction order + seed fully
-  // determine the adjacency (duplicates are fine, the visited set dedups).
-  std::vector<Slot> entries;
-  entries.reserve(options_.entry_points);
-  for (std::size_t t = 0; t < options_.entry_points; ++t) {
-    entries.push_back(
-        static_cast<Slot>(rng_.UniformInt(static_cast<std::uint64_t>(linked))));
+  // Entry points come from the index Rng, drawn serially in slot order
+  // before any search runs, so the stream is a function of (seed, member
+  // order) alone — never of the schedule.  Duplicates are fine: the
+  // visited set dedups.
+  const std::size_t fan = options_.entry_points;
+  std::vector<Slot> entries(static_cast<std::size_t>(end - begin) * fan);
+  for (Slot& entry : entries) {
+    entry = static_cast<Slot>(rng_.UniformInt(static_cast<std::uint64_t>(linked)));
   }
-  const std::span<const double> row(Snapshot(slot), rank_);
-  BeamSearch(
-      entries, options_.ef_construction, slot,
-      [&](Slot s) { return DistanceSquaredToSnapshot(row, s); }, scratch);
-  std::vector<Slot> chosen;
-  SelectNeighbors(scratch.out, chosen);
-  adj_len_[slot] = static_cast<std::uint32_t>(chosen.size());
-  std::copy(chosen.begin(), chosen.end(),
-            adj_.data() + static_cast<std::size_t>(slot) * options_.degree);
-  for (const Slot s : chosen) {
-    LinkBack(s, slot);
+
+  // Phase 1, parallel over the batch: each slot searches the frozen graph
+  // and writes only its own out-edges.  No search can reach a batch slot —
+  // edges into the batch are back-links, which phase 2 adds — so the
+  // searches never see each other's writes.
+  ForEachBlock(pool, begin, end, [&](std::size_t lo, std::size_t hi) {
+    const ScratchLease lease(*this);
+    for (std::size_t s = lo; s < hi; ++s) {
+      const auto slot = static_cast<Slot>(s);
+      const std::span<const double> row(Snapshot(slot), rank_);
+      BeamSearch(
+          std::span<const Slot>(entries).subspan((s - begin) * fan, fan),
+          options_.ef_construction, slot,
+          [&](Slot t) { return DistanceSquaredToSnapshot(row, t); }, *lease);
+      SelectNeighbors(lease->out, *lease);
+      adj_len_[slot] = static_cast<std::uint32_t>(lease->chosen.size());
+      std::copy(lease->chosen.begin(), lease->chosen.end(),
+                adj_.data() + static_cast<std::size_t>(slot) * options_.degree);
+    }
+  });
+
+  // Phase 2, parallel over targets: LinkBack(to, ·) touches
+  // only to's list, so applying each target's back-links in (slot, edge)
+  // order reproduces the serial replay whatever the split.
+  std::vector<std::pair<Slot, Slot>> links;  // (to, from)
+  for (Slot slot = begin; slot < end; ++slot) {
+    for (const Slot to : Edges(slot)) {
+      links.emplace_back(to, slot);
+    }
+  }
+  std::sort(links.begin(), links.end());
+  // Blocks split the targets, so each target's run of links [starts[g],
+  // starts[g + 1]) belongs to exactly one block.
+  std::vector<std::size_t> starts;
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    if (i == 0 || links[i].first != links[i - 1].first) {
+      starts.push_back(i);
+    }
+  }
+  starts.push_back(links.size());
+  ForEachBlock(pool, 0, starts.size() - 1, [&](std::size_t lo, std::size_t hi) {
+    const ScratchLease lease(*this);
+    for (std::size_t i = starts[lo]; i < starts[hi]; ++i) {
+      LinkBack(links[i].first, links[i].second, *lease);
+    }
+  });
+}
+
+void PeerIndex::LinkAll(common::ThreadPool* pool) {
+  // Batch [b, b + max(1, b/32)) inserts against the graph of slots < b:
+  // the batch grows with the graph, so a batch's members rarely would have
+  // picked each other, and the layout depends on b alone — never on the
+  // pool size.
+  const std::size_t size = id_of_.size();
+  for (std::size_t b = 0; b < size;) {
+    const std::size_t e = std::min(size, b + std::max<std::size_t>(1, b / 32));
+    InsertBatch(static_cast<Slot>(b), static_cast<Slot>(e), b, pool);
+    b = e;
   }
 }
 
@@ -541,8 +602,7 @@ void PeerIndex::Add(std::size_t id) {
     throw std::invalid_argument("PeerIndex::Add: already a member");
   }
   const Slot slot = AppendSlot(id);
-  const ScratchLease lease(*this);
-  LinkSlot(slot, slot, *lease);
+  InsertBatch(slot, slot + 1, slot, nullptr);
   // The coarse layer is left alone: the new member is reachable through
   // back-links from its neighbors, and the next rebuild refreshes the
   // cells.
@@ -632,12 +692,12 @@ bool PeerIndex::Update(std::size_t id) {
   // are refreshed wholesale on the rebuild path.
   store_->CopyVRow(id, {snap_v_.data() + static_cast<std::size_t>(slot) * rank_,
                         rank_});
-  const ScratchLease lease(*this);
-  LinkSlot(slot, id_of_.size(), *lease);
+  InsertBatch(slot, slot + 1, id_of_.size(), nullptr);
   return true;
 }
 
-PeerIndex::UpdateStats PeerIndex::ApplyUpdates(std::span<const core::NodeId> ids) {
+PeerIndex::UpdateStats PeerIndex::ApplyUpdates(std::span<const core::NodeId> ids,
+                                                common::ThreadPool* pool) {
   UpdateStats stats;
   if (id_of_.empty()) {
     return stats;
@@ -657,7 +717,7 @@ PeerIndex::UpdateStats PeerIndex::ApplyUpdates(std::span<const core::NodeId> ids
   }
   if (static_cast<double>(drifted) >
       options_.rebuild_fraction * static_cast<double>(id_of_.size())) {
-    RebuildAll();
+    RebuildAll(pool);
     stats.rebuilt = true;
     return stats;
   }
@@ -669,9 +729,9 @@ PeerIndex::UpdateStats PeerIndex::ApplyUpdates(std::span<const core::NodeId> ids
   return stats;
 }
 
-void PeerIndex::RebuildAll() {
+void PeerIndex::RebuildAll(common::ThreadPool* pool) {
   // Refresh every snapshot, drop every edge, re-seed the Rng, then replay
-  // the construction inserts in slot order — a pure function of (member
+  // the construction batches in slot order — a pure function of (member
   // order, live rows, options.seed), so a rebuild is idempotent and a
   // rebuild of a fresh index reproduces the constructed adjacency.  The
   // coarse layer rebuilds from the same refreshed snapshots.
@@ -682,10 +742,7 @@ void PeerIndex::RebuildAll() {
                       rank_});
   }
   std::fill(adj_len_.begin(), adj_len_.end(), 0);
-  SearchScratch scratch;
-  for (Slot slot = 0; slot < id_of_.size(); ++slot) {
-    LinkSlot(slot, slot, scratch);
-  }
+  LinkAll(pool);
   BuildCoarse();
 }
 

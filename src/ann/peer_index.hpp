@@ -43,12 +43,20 @@
 // query is bit-identical to the oracle by construction — the property the
 // peer-selection parity and IVF exact-mode tests pin.
 //
-// Determinism: construction and maintenance draw entry points from one
-// internal Rng seeded by options.seed; the coarse layer is built from a
-// deterministic evenly-spaced subsample (no Rng draws, so enabling it
+// Build (DESIGN.md §16): construction and RebuildAll insert slots in
+// batches [b, b + max(1, b/32)).  Each batch draws its entry points
+// serially, then (phase 1) searches the frozen graph of slots < b and
+// writes each slot's out-edges, parallel over the batch, then (phase 2)
+// applies the back-links grouped by target in (slot, edge) order,
+// parallel over targets.  Add and Update are a batch of one.
+//
+// Determinism: entry points come from one internal Rng seeded by
+// options.seed and are drawn in slot order; the coarse layer is built from
+// a deterministic evenly-spaced subsample (no Rng draws, so enabling it
 // never shifts the adjacency stream); all ranking uses the strict total
 // order (key, slot); searches seed from the coarse medoids (or fixed
-// evenly-spaced slots) — the same (seed, member order, operation sequence)
+// evenly-spaced slots).  Seed + member order ⇒ adjacency, at any build-pool
+// size (nullptr and 1 included); the same operation sequence after that
 // always yields the same adjacency and the same query results, at any
 // number of query threads.
 //
@@ -58,7 +66,9 @@
 // count into one atomic on release, so any number of threads may run
 // const searches concurrently — results are bit-identical to a serial run
 // because the walk is a pure function of (graph, entries, key function).
-// Mutators (Add/Remove/Update/ApplyUpdates/RebuildAll) are NOT safe
+// A build or rebuild fans out over the caller's ThreadPool (phase-1
+// workers lease scratches from the same free list) and returns after the
+// join.  Mutators (Add/Remove/Update/ApplyUpdates/RebuildAll) are NOT safe
 // against concurrent searches; callers serialize them behind a writer
 // lock (svc::CoordinateService holds its reader–writer lock exclusively
 // around every mutation).
@@ -73,6 +83,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/coordinate_store.hpp"
 #include "core/messages.hpp"
 #include "eval/brute_force_knn.hpp"
@@ -113,15 +124,19 @@ class PeerIndex {
  public:
   /// Indexes every node of the store.  The store must outlive the index
   /// and must not shrink below the indexed ids (it never reallocates rows,
-  /// so spans stay valid).  Throws std::invalid_argument on bad options.
-  PeerIndex(const core::CoordinateStore& store, const PeerIndexOptions& options);
+  /// so spans stay valid).  A `pool` spreads the build over its threads;
+  /// the adjacency is the same at any pool size (nullptr = inline).
+  /// Throws std::invalid_argument on bad options.
+  PeerIndex(const core::CoordinateStore& store, const PeerIndexOptions& options,
+            common::ThreadPool* pool = nullptr);
 
   /// Indexes an explicit member subset (e.g. one node's candidate peer
   /// set); slot order == `members` order, which exact-mode queries scan.
   /// Throws on duplicate or out-of-range members.
   PeerIndex(const core::CoordinateStore& store,
             std::span<const std::size_t> members,
-            const PeerIndexOptions& options);
+            const PeerIndexOptions& options,
+            common::ThreadPool* pool = nullptr);
 
   [[nodiscard]] std::size_t Size() const noexcept { return id_of_.size(); }
   [[nodiscard]] bool Contains(std::size_t id) const noexcept {
@@ -178,15 +193,17 @@ class PeerIndex {
 
   /// Drains an engine dirty set (DeploymentEngine::TakeDirtyNodes):
   /// non-members are ignored, members are drift-checked, and the whole
-  /// batch escalates to RebuildAll() when more than rebuild_fraction of
-  /// the membership drifted past epsilon.
-  UpdateStats ApplyUpdates(std::span<const core::NodeId> ids);
+  /// batch escalates to RebuildAll(pool) when more than rebuild_fraction
+  /// of the membership drifted past epsilon.  Per-member re-links run
+  /// inline.
+  UpdateStats ApplyUpdates(std::span<const core::NodeId> ids,
+                           common::ThreadPool* pool = nullptr);
 
   /// Rebuilds every edge — and the coarse layer — from the live store
-  /// (bulk churn / drift).  Keeps membership and slot order; a rebuild of
-  /// an already-fresh index is a no-op on the adjacency (idempotence —
-  /// pinned by tests).
-  void RebuildAll();
+  /// (bulk churn / drift), over `pool` like construction.  Keeps
+  /// membership and slot order; a rebuild of an already-fresh index is a
+  /// no-op on the adjacency (idempotence — pinned by tests).
+  void RebuildAll(common::ThreadPool* pool = nullptr);
 
   /// Cumulative u·v-shaped evaluations performed by searches — member
   /// scores plus coarse centroid scores (the work an exact scan would
@@ -209,8 +226,9 @@ class PeerIndex {
     return a.key < b.key || (a.key == b.key && a.slot < b.slot);
   }
 
-  /// Per-search mutable state, leased from an internal pool so const
-  /// searches from many threads never share a buffer (DESIGN.md §18).
+  /// Per-search (and per-insert) mutable state, leased from an internal
+  /// pool so searches and build workers on many threads never share a
+  /// buffer (DESIGN.md §18).
   struct SearchScratch {
     std::vector<std::uint32_t> visited;  ///< epoch-marked visited set
     std::uint32_t epoch = 0;
@@ -218,6 +236,9 @@ class PeerIndex {
     std::vector<RankedSlot> out;         ///< worst-on-top result heap
     std::vector<RankedSlot> cells;       ///< coarse-cell ranking buffer
     std::vector<Slot> entries;           ///< beam seed slots
+    std::vector<RankedSlot> relink;      ///< LinkBack's re-prune candidates
+    std::vector<Slot> chosen;            ///< SelectNeighbors' result
+    std::vector<Slot> pruned;            ///< SelectNeighbors' backfill
     std::uint64_t score_evals = 0;       ///< folded into the index atomic
   };
 
@@ -253,16 +274,24 @@ class PeerIndex {
   /// Appends a slot for `id` (snapshot copied from the live store) without
   /// linking it.
   Slot AppendSlot(std::size_t id);
-  /// Chooses and wires `slot`'s out-edges by beam search over the already
-  /// linked graph, seeding from `linked` random slots (rng_ draws).
-  void LinkSlot(Slot slot, std::size_t linked, SearchScratch& scratch);
+  /// The one insert path: chooses and wires the out-edges of slots
+  /// [begin, end) by beam search over the graph, each seeded from
+  /// entry_points slots drawn from [0, linked) (rng_ draws, serial in slot
+  /// order), then adds the back-links.  Requires a single slot or a batch
+  /// no search from [0, linked) can reach (build: linked == begin).  The
+  /// result equals inserting the slots one by one against the frozen
+  /// graph, at any pool size.
+  void InsertBatch(Slot begin, Slot end, std::size_t linked,
+                   common::ThreadPool* pool);
+  /// Links every slot, in batches [b, b + max(1, b/32)) against slots < b.
+  void LinkAll(common::ThreadPool* pool);
   /// Relative-neighborhood prune over `candidates` (sorted best-first by
-  /// distance to the subject's snapshot); keeps up to degree, backfills
-  /// with pruned candidates to keep the graph dense.
+  /// distance to the subject's snapshot) into scratch.chosen; keeps up to
+  /// degree, backfills with pruned candidates to keep the graph dense.
   void SelectNeighbors(const std::vector<RankedSlot>& candidates,
-                       std::vector<Slot>& chosen) const;
+                       SearchScratch& scratch) const;
   /// Adds the back-edge to -> from, re-pruning to's list when full.
-  void LinkBack(Slot to, Slot from);
+  void LinkBack(Slot to, Slot from, SearchScratch& scratch);
 
   /// (Re)builds the IVF coarse layer from the current snapshots: seeded
   /// k-means over an evenly-spaced subsample, one medoid entry per cell.

@@ -1,8 +1,8 @@
 #include "common/csv.hpp"
 
-#include <cstdio>
+#include <cctype>
+#include <charconv>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace dmfsgd::common {
@@ -18,7 +18,7 @@ void RequireCleanField(const std::string& field, char separator) {
   }
 }
 
-void WriteRow(std::ofstream& out, const std::vector<std::string>& row, char separator) {
+void WriteRow(std::ostream& out, const std::vector<std::string>& row, char separator) {
   for (std::size_t i = 0; i < row.size(); ++i) {
     RequireCleanField(row[i], separator);
     if (i > 0) {
@@ -31,43 +31,56 @@ void WriteRow(std::ofstream& out, const std::vector<std::string>& row, char sepa
 
 }  // namespace
 
+void WriteCsvFile(const std::filesystem::path& path,
+                  const std::function<void(std::ostream&)>& write) {
+  if (path.has_parent_path()) {
+    std::filesystem::create_directories(path.parent_path());
+  }
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    throw std::runtime_error("WriteCsvFile: cannot open " + path.string());
+  }
+  write(out);
+  if (!out) {
+    throw std::runtime_error("WriteCsvFile: write failed for " + path.string());
+  }
+}
+
 void WriteCsv(const std::filesystem::path& path,
               const std::vector<std::string>& header,
               const std::vector<std::vector<std::string>>& rows,
               char separator) {
-  if (path.has_parent_path()) {
-    std::filesystem::create_directories(path.parent_path());
-  }
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("WriteCsv: cannot open " + path.string());
-  }
-  if (!header.empty()) {
-    WriteRow(out, header, separator);
-  }
-  for (const auto& row : rows) {
-    WriteRow(out, row, separator);
-  }
-  if (!out) {
-    throw std::runtime_error("WriteCsv: write failed for " + path.string());
-  }
+  WriteCsvFile(path, [&](std::ostream& out) {
+    if (!header.empty()) {
+      WriteRow(out, header, separator);
+    }
+    for (const auto& row : rows) {
+      WriteRow(out, row, separator);
+    }
+  });
 }
 
-CsvDocument ReadCsv(const std::filesystem::path& path, bool has_header, char separator) {
+void ForEachCsvLine(const std::filesystem::path& path,
+                    const std::function<void(std::string_view)>& fn) {
   std::ifstream in(path);
   if (!in) {
-    throw std::runtime_error("ReadCsv: cannot open " + path.string());
+    throw std::runtime_error("ForEachCsvLine: cannot open " + path.string());
   }
-  CsvDocument doc;
   std::string line;
-  bool first = true;
   while (std::getline(in, line)) {
     if (!line.empty() && line.back() == '\r') {
       line.pop_back();
     }
-    if (line.empty()) {
-      continue;
+    if (!line.empty()) {
+      fn(line);
     }
+  }
+}
+
+CsvDocument ReadCsv(const std::filesystem::path& path, bool has_header, char separator) {
+  CsvDocument doc;
+  bool first = true;
+  ForEachCsvLine(path, [&](std::string_view line) {
     auto fields = SplitCsvLine(line, separator);
     if (first && has_header) {
       doc.header = std::move(fields);
@@ -75,11 +88,11 @@ CsvDocument ReadCsv(const std::filesystem::path& path, bool has_header, char sep
       doc.rows.push_back(std::move(fields));
     }
     first = false;
-  }
+  });
   return doc;
 }
 
-std::vector<std::string> SplitCsvLine(const std::string& line, char separator) {
+std::vector<std::string> SplitCsvLine(std::string_view line, char separator) {
   std::vector<std::string> fields;
   std::string current;
   for (const char c : line) {
@@ -94,22 +107,44 @@ std::vector<std::string> SplitCsvLine(const std::string& line, char separator) {
   return fields;
 }
 
-std::string FormatDouble(double value) {
+void AppendDouble(std::string& out, double value) {
   char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                    std::chars_format::general, 17);
+  out.append(buffer, result.ptr);
 }
 
-double ParseDouble(const std::string& field) {
-  std::size_t consumed = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(field, &consumed);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("ParseDouble: not a number: '" + field + "'");
+std::string FormatDouble(double value) {
+  std::string out;
+  AppendDouble(out, value);
+  return out;
+}
+
+double ParseDouble(std::string_view field) {
+  // std::from_chars, not strtod: strtod reports a subnormal result as a
+  // range error, which would reject a legal (decayed) coordinate.
+  std::string_view digits = field;
+  while (!digits.empty() &&
+         std::isspace(static_cast<unsigned char>(digits.front()))) {
+    digits.remove_prefix(1);
   }
-  if (consumed != field.size()) {
-    throw std::invalid_argument("ParseDouble: trailing characters in '" + field + "'");
+  if (digits.size() > 1 && digits[0] == '+' && digits[1] != '-') {
+    digits.remove_prefix(1);
+  }
+  double value = 0.0;
+  const char* end = digits.data() + digits.size();
+  const auto [stop, error] = std::from_chars(digits.data(), end, value);
+  const char* problem = nullptr;
+  if (error == std::errc::result_out_of_range) {
+    problem = "out of range: '";
+  } else if (error != std::errc{}) {
+    problem = "not a number: '";
+  } else if (stop != end) {
+    problem = "trailing characters in '";
+  }
+  if (problem != nullptr) {
+    throw std::invalid_argument(std::string("ParseDouble: ") + problem +
+                                std::string(field) + "'");
   }
   return value;
 }

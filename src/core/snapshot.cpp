@@ -1,7 +1,10 @@
 #include "core/snapshot.hpp"
 
+#include <algorithm>
+#include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "common/csv.hpp"
 #include "common/thread_pool.hpp"
@@ -52,58 +55,92 @@ CoordinateSnapshot TakeSnapshot(const DmfsgdSimulation& simulation) {
   return TakeSnapshot(simulation.engine());
 }
 
+namespace {
+
+/// Parses one "u_0,...,u_{r-1},v_0,...,v_{r-1}" line in place, appending
+/// the values to `u` and `v`; throws unless it holds exactly 2·rank fields.
+void ParseRow(std::string_view line, std::size_t rank, std::vector<double>& u,
+              std::vector<double>& v, std::size_t row) {
+  std::size_t begin = 0;
+  for (std::size_t f = 0; f < 2 * rank; ++f) {
+    const std::size_t comma = line.find(',', begin);
+    const bool last = f + 1 == 2 * rank;
+    if (last != (comma == std::string_view::npos)) {
+      throw std::invalid_argument("LoadSnapshot: malformed row " +
+                                  std::to_string(row));
+    }
+    const std::size_t end = last ? line.size() : comma;
+    (f < rank ? u : v).push_back(common::ParseDouble(line.substr(begin, end - begin)));
+    begin = end + 1;
+  }
+}
+
+}  // namespace
+
 void SaveSnapshot(const CoordinateSnapshot& snapshot,
                   const std::filesystem::path& path) {
   if (snapshot.rank() == 0) {
     throw std::invalid_argument("SaveSnapshot: malformed snapshot");
   }
-  const std::vector<std::string> header = {"dmfsgd-snapshot",
-                                           std::to_string(snapshot.rank()),
-                                           std::to_string(snapshot.NodeCount())};
-  std::vector<std::vector<std::string>> rows;
-  rows.reserve(snapshot.NodeCount());
-  for (std::size_t i = 0; i < snapshot.NodeCount(); ++i) {
-    std::vector<std::string> row;
-    row.reserve(2 * snapshot.rank());
-    for (const double value : snapshot.store.U(i)) {
-      row.push_back(common::FormatDouble(value));
+  common::WriteCsvFile(path, [&](std::ostream& out) {
+    // Rows stream through one reused buffer, written out in ~1 MB chunks.
+    constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+    std::string buffer = "dmfsgd-snapshot," + std::to_string(snapshot.rank()) +
+                         "," + std::to_string(snapshot.NodeCount()) + "\n";
+    for (std::size_t i = 0; i < snapshot.NodeCount(); ++i) {
+      for (const double value : snapshot.store.U(i)) {
+        common::AppendDouble(buffer, value);
+        buffer += ',';
+      }
+      for (const double value : snapshot.store.V(i)) {
+        common::AppendDouble(buffer, value);
+        buffer += ',';
+      }
+      buffer.back() = '\n';
+      if (buffer.size() >= kChunkBytes) {
+        out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+        buffer.clear();
+      }
     }
-    for (const double value : snapshot.store.V(i)) {
-      row.push_back(common::FormatDouble(value));
-    }
-    rows.push_back(std::move(row));
-  }
-  common::WriteCsv(path, header, rows);
+    out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+  });
 }
 
 CoordinateSnapshot LoadSnapshot(const std::filesystem::path& path) {
-  const auto doc = common::ReadCsv(path, /*has_header=*/true);
-  if (doc.header.size() != 3 || doc.header[0] != "dmfsgd-snapshot") {
+  bool header_read = false;
+  std::size_t rank = 0;
+  std::size_t n = 0;
+  // The store is sized only once the row count matches the header, so a
+  // corrupt count cannot force a huge allocation.
+  std::vector<double> u;
+  std::vector<double> v;
+  std::size_t rows = 0;
+  common::ForEachCsvLine(path, [&](std::string_view line) {
+    if (header_read) {
+      ParseRow(line, rank, u, v, rows++);
+      return;
+    }
+    const std::vector<std::string> header = common::SplitCsvLine(line);
+    if (header.size() != 3 || header[0] != "dmfsgd-snapshot") {
+      throw std::invalid_argument("LoadSnapshot: not a snapshot file");
+    }
+    rank = static_cast<std::size_t>(std::stoull(header[1]));
+    n = static_cast<std::size_t>(std::stoull(header[2]));
+    if (rank == 0) {
+      throw std::invalid_argument("LoadSnapshot: rank must be positive");
+    }
+    header_read = true;
+  });
+  if (!header_read) {
     throw std::invalid_argument("LoadSnapshot: not a snapshot file");
   }
-  const auto rank = static_cast<std::size_t>(std::stoull(doc.header[1]));
-  const auto n = static_cast<std::size_t>(std::stoull(doc.header[2]));
-  if (rank == 0) {
-    throw std::invalid_argument("LoadSnapshot: rank must be positive");
-  }
-  if (doc.rows.size() != n) {
+  if (rows != n) {
     throw std::invalid_argument("LoadSnapshot: node count mismatch");
   }
   CoordinateSnapshot snapshot;
   snapshot.store.Reset(n, rank);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& row = doc.rows[i];
-    if (row.size() != 2 * rank) {
-      throw std::invalid_argument("LoadSnapshot: malformed row " +
-                                  std::to_string(i));
-    }
-    const auto u = snapshot.store.U(i);
-    const auto v = snapshot.store.V(i);
-    for (std::size_t d = 0; d < rank; ++d) {
-      u[d] = common::ParseDouble(row[d]);
-      v[d] = common::ParseDouble(row[rank + d]);
-    }
-  }
+  std::copy(u.begin(), u.end(), snapshot.store.UData().begin());
+  std::copy(v.begin(), v.end(), snapshot.store.VData().begin());
   return snapshot;
 }
 

@@ -54,7 +54,7 @@ CoordinateService::CoordinateService(const datasets::Dataset& dataset,
     }
   }
   simulation_.EnableDriftTracking();
-  index_.emplace(store(), config_.index);
+  index_.emplace(store(), config_.index, &build_pool_);
   if (!config_.snapshot_dir.empty()) {
     log_.emplace(config_.snapshot_dir, store());
   }
@@ -225,7 +225,8 @@ std::vector<core::NodeId> CoordinateService::TakeMask(
 void CoordinateService::RefreshIndex() {
   DrainDirty();
   const std::vector<core::NodeId> dirty = TakeMask(pending_index_);
-  const ann::PeerIndex::UpdateStats update = index_->ApplyUpdates(dirty);
+  const ann::PeerIndex::UpdateStats update =
+      index_->ApplyUpdates(dirty, &build_pool_);
   ++stats_.index_refreshes;
   stats_.index_relinks += update.relinked;
   if (update.rebuilt) {

@@ -45,7 +45,11 @@
 // so index refreshes and coordinate writes never race a query.  Queries
 // are pure reads: on a quiescent service, N-thread query results are
 // bit-identical to single-thread (the walk is a pure function of the
-// index and the store — pinned by the concurrent-query tests).
+// index and the store — pinned by the concurrent-query tests).  The
+// service also owns one hardware-thread pool, used only to build the index
+// at start-up and to run escalated rebuilds under the exclusive lock; the
+// index is bit-identical at any pool size (DESIGN.md §16), so the pool
+// size is not a config knob.
 #pragma once
 
 #include <atomic>
@@ -56,6 +60,7 @@
 #include <vector>
 
 #include "ann/peer_index.hpp"
+#include "common/thread_pool.hpp"
 #include "core/simulation.hpp"
 #include "svc/snapshot_log.hpp"
 
@@ -220,6 +225,9 @@ class CoordinateService {
 
   ServiceConfig config_;
   core::DmfsgdSimulation simulation_;
+  // Hardware-thread pool for the index build and escalated rebuilds;
+  // nothing else runs on it.
+  common::ThreadPool build_pool_{0};
   std::optional<ann::PeerIndex> index_;    // engaged for the service's life
   std::optional<SnapshotLogWriter> log_;   // engaged iff persistence is on
 

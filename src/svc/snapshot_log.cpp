@@ -63,11 +63,11 @@ void SnapshotLogWriter::AppendDelta(const core::CoordinateStore& store,
     payload += std::to_string(id);
     for (const double value : store.U(id)) {
       payload += ',';
-      payload += common::FormatDouble(value);
+      common::AppendDouble(payload, value);
     }
     for (const double value : store.V(id)) {
       payload += ',';
-      payload += common::FormatDouble(value);
+      common::AppendDouble(payload, value);
     }
     payload += '\n';
   }

@@ -18,7 +18,8 @@
 // valid commit, and recovery simply discards everything after the last
 // epoch whose checksum verifies — the *last-good-epoch* state, which is
 // bit-identical to the live store at the moment that epoch was appended
-// (doubles round-trip exactly through common::FormatDouble's %.17g).
+// (doubles round-trip exactly through common::FormatDouble's 17
+// significant digits).
 //
 // One directory holds one log generation: base.csv + deltas.log.  Starting
 // a writer begins a fresh generation (new base from the current store,

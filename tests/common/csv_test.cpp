@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
+#include <string>
+
+#include "common/rng.hpp"
 
 namespace dmfsgd::common {
 namespace {
@@ -95,6 +104,56 @@ TEST(ParseDouble, RejectsGarbage) {
 TEST(ParseDouble, AcceptsScientificNotation) {
   EXPECT_DOUBLE_EQ(ParseDouble("1e3"), 1000.0);
   EXPECT_DOUBLE_EQ(ParseDouble("-2.5e-2"), -0.025);
+}
+
+TEST(FormatDouble, EdgeValuesRoundTripBitwise) {
+  // Bitwise (memcmp), not EXPECT_DOUBLE_EQ: -0.0 == 0.0 and 4-ulp slack
+  // would both hide a lossy path.  Subnormals are the strtod failure mode.
+  const double largest_subnormal = std::nextafter(DBL_MIN, 0.0);
+  for (const double value :
+       {std::numeric_limits<double>::denorm_min(), 1e-310, largest_subnormal,
+        -largest_subnormal, -0.0, DBL_MIN, DBL_MAX, -DBL_MAX, 0.1, 1.0 / 3.0}) {
+    const double parsed = ParseDouble(FormatDouble(value));
+    EXPECT_EQ(std::memcmp(&parsed, &value, sizeof(double)), 0)
+        << FormatDouble(value);
+  }
+}
+
+TEST(FormatDouble, MatchesPrintfPercent17g) {
+  // The on-disk snapshot bytes are pinned to %.17g; sweep seeded bit
+  // patterns (every exponent, subnormals, infinities, NaNs) and ordinary
+  // coordinate-sized values.
+  Rng rng(1117);
+  char expected[64];
+  for (std::size_t t = 0; t < 200000; ++t) {
+    double value = 0.0;
+    if (t % 2 == 0) {
+      const std::uint64_t bits = rng();
+      std::memcpy(&value, &bits, sizeof(double));
+    } else {
+      value = rng.Normal() * std::pow(10.0, static_cast<double>(t % 13) - 6.0);
+    }
+    std::snprintf(expected, sizeof(expected), "%.17g", value);
+    ASSERT_EQ(FormatDouble(value), std::string(expected)) << "draw " << t;
+  }
+  for (const double value :
+       {0.0, -0.0, std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), 1e-5, 1e16, 1e17, 123456.0}) {
+    std::snprintf(expected, sizeof(expected), "%.17g", value);
+    EXPECT_EQ(FormatDouble(value), std::string(expected));
+  }
+}
+
+TEST(ParseDouble, RejectsValuesOutsideTheDoubleRange) {
+  EXPECT_THROW((void)ParseDouble("1e400"), std::invalid_argument);
+  EXPECT_THROW((void)ParseDouble("-1e400"), std::invalid_argument);
+}
+
+TEST(ParseDouble, AcceptsLeadingWhitespaceAndPlus) {
+  EXPECT_EQ(ParseDouble(" 2.5"), 2.5);
+  EXPECT_EQ(ParseDouble("+1e3"), 1000.0);
+  EXPECT_THROW((void)ParseDouble("+-1"), std::invalid_argument);
+  EXPECT_THROW((void)ParseDouble("+"), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -51,6 +54,39 @@ void ExpectStoresIdentical(const core::CoordinateStore& actual,
     ASSERT_EQ(au[x], eu[x]) << "U mismatch at flat index " << x;
     ASSERT_EQ(av[x], ev[x]) << "V mismatch at flat index " << x;
   }
+}
+
+/// MakeStore's rows spread over the whole binary exponent range — from
+/// subnormals to within a few binades of DBL_MAX — so a pin over the
+/// written bytes covers every formatting regime.
+core::CoordinateStore MakeWideStore(std::size_t n, std::size_t rank) {
+  core::CoordinateStore store = MakeStore(n, rank);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t d = 0; d < rank; ++d) {
+      const std::size_t x = i * rank + d;
+      store.U(i)[d] = std::ldexp(store.U(i)[d], static_cast<int>((x * 37) % 2095) - 1075);
+      store.V(i)[d] = std::ldexp(store.V(i)[d], static_cast<int>((x * 53) % 2095) - 1075);
+    }
+  }
+  store.U(0)[0] = std::numeric_limits<double>::denorm_min();
+  store.U(0)[1] = -0.0;
+  store.V(0)[0] = DBL_MAX;
+  store.V(0)[1] = 1e-310;
+  return store;
+}
+
+std::string ReadBytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::uint64_t Fnv1a64(const std::string& bytes) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
 }
 
 TEST_F(SnapshotLogTest, BaseOnlyGenerationRoundTripsBitIdentically) {
@@ -223,6 +259,60 @@ TEST_F(SnapshotLogTest, CorruptedEpochIsDiscardedWithEverythingAfterIt) {
   EXPECT_TRUE(recovery->truncated_tail);
   EXPECT_EQ(recovery->store.U(1)[0], 1.0 / 3.0);
   EXPECT_NE(recovery->store.U(2)[0], 2.0 / 3.0);
+}
+
+// The on-disk format is a compatibility surface: an older generation must
+// recover under newer code and vice versa.  The goldens were taken from
+// the %.17g / stod implementation of the text I/O.
+TEST_F(SnapshotLogTest, WrittenBytesMatchTheGolden) {
+  core::CoordinateStore store = MakeWideStore(300, 5);
+  SnapshotLogWriter writer(dir_, store);
+  for (std::size_t epoch = 1; epoch <= 3; ++epoch) {
+    std::vector<core::NodeId> rows;
+    for (core::NodeId id = 0; id < store.NodeCount(); id += 7 * epoch) {
+      store.U(id)[epoch] = -store.U(id)[epoch] / 3.0;
+      store.V(id)[epoch] = std::ldexp(store.V(id)[epoch], -static_cast<int>(epoch));
+      rows.push_back(id);
+    }
+    writer.AppendDelta(store, rows);
+  }
+  const std::string base = ReadBytes(dir_ / "base.csv");
+  const std::string deltas = ReadBytes(dir_ / "deltas.log");
+  EXPECT_EQ(base.size(), 71783u);
+  EXPECT_EQ(Fnv1a64(base), 0xf747fa660eac43e9ULL);
+  EXPECT_EQ(deltas.size(), 19545u);
+  EXPECT_EQ(Fnv1a64(deltas), 0x58bc34d0df0b1d15ULL);
+}
+
+// A subnormal is a legal coordinate (a factor decayed by regularization).
+// An epoch holding one must commit like any other, not read as a torn tail
+// that drops it and every later epoch.
+TEST_F(SnapshotLogTest, SubnormalEpochRecoversInFull) {
+  core::CoordinateStore store = MakeStore(8, 3);
+  {
+    SnapshotLogWriter writer(dir_, store);
+    store.V(2)[1] = std::numeric_limits<double>::denorm_min();
+    store.U(3)[2] = -2.2250738585072009e-308;  // the largest subnormal
+    writer.AppendDelta(store, std::vector<core::NodeId>{2, 3});
+    store.U(4)[0] = 1.0 / 3.0;
+    writer.AppendDelta(store, std::vector<core::NodeId>{4});
+  }
+  const auto recovery = RecoverSnapshotLog(dir_);
+  ASSERT_TRUE(recovery.has_value());
+  EXPECT_EQ(recovery->epochs, 2u);
+  EXPECT_FALSE(recovery->truncated_tail);
+  ExpectStoresIdentical(recovery->store, store);
+}
+
+// ... and a base image holding one must load, or the service cannot
+// restart at all.
+TEST_F(SnapshotLogTest, SubnormalBaseImageRecovers) {
+  core::CoordinateStore store = MakeStore(8, 3);
+  store.U(1)[0] = 1e-310;
+  { SnapshotLogWriter writer(dir_, store); }
+  const auto recovery = RecoverSnapshotLog(dir_);
+  ASSERT_TRUE(recovery.has_value());
+  ExpectStoresIdentical(recovery->store, store);
 }
 
 }  // namespace
