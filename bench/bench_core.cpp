@@ -17,11 +17,14 @@
 //                      sequential channel-driven rounds vs the parallel
 //                      deterministic sweep; the alg2-* variants run the
 //                      same comparison on a target-measured (ABW) dataset
-//                      through the target-sharded phase schedule; the
-//                      coo-compiled variants run the sparse round compiler
-//                      (DESIGN.md §14) against the per-message drain at
-//                      n = 8192 (dense matrix) and n = 65536 (procedural
-//                      delay-space ground truth).
+//                      through the row-major target-group schedule; the
+//                      coo-compiled variants time RunRounds (the sparse
+//                      round compiler, DESIGN.md §14) against the
+//                      per-message drain at n = 8192 (dense matrix) and
+//                      n = 65536 (procedural delay-space ground truth);
+//                      compiled-seq/n65536 and parallel-hw/n65536 time
+//                      RunRounds against RunRoundsParallel at hw threads on
+//                      the procedural n = 65536 tier with k = 32.
 //   ann_query/*        k-NN peer queries over live-drifting coordinates
 //                      (DESIGN.md §16, §18): the drift-tolerant PeerIndex
 //                      (fed by the engine dirty set) vs the brute-force
@@ -58,6 +61,11 @@
 //   coo_round_speedup           compiled COO round sweep vs per-message
 //                               sequential rounds at n = 65536 (> 1; the
 //                               _n8192/_n65536 scalars record both tiers)
+//   round_parallel_vs_compiled_n65536  RunRoundsParallel at hw threads vs
+//                               RunRounds (the compiled sequential sweep)
+//                               at n = 65536, k = 32 — the parallel
+//                               sweep's reason to exist (the multicore CI
+//                               leg pins > 1 at hw_threads > 1)
 //   ann_recall_at_10            mean recall@10 of the updated index against
 //                               the fresh-coordinate oracle at n = 65536
 //                               (CI pins >= 0.9; the _n8192 scalar records
@@ -83,7 +91,8 @@
 //                               throughput through the service's shared
 //                               read lock, n = 65536 tier (1.0 on
 //                               single-core hosts)
-//   alg2_round_parallel_scaling same, Algorithm-2 phase schedule, largest n
+//   alg2_round_parallel_scaling same, Algorithm-2 target-group schedule,
+//                               largest n
 //   async_drain_parallel_scaling parallel vs sequential event drain, largest n
 //   async_distributed_scaling   2-process distributed vs sequential drain
 //   async_pair_lookahead_window_gain windows(global-min) / windows(per-pair)
@@ -389,9 +398,9 @@ bench::BenchJsonEntry RoundParallel(const datasets::Dataset& dataset,
       [&] { simulation.RunRoundsParallel(rounds, pool); });
 }
 
-/// The sparse round compiler (DESIGN.md §14): same rounds as
-/// RoundSequential, gathered into COO and executed as fused sweeps through
-/// the runtime-dispatched kernel table — no per-message variant dispatch, no
+/// The sparse round compiler (DESIGN.md §14), as RunRounds runs it: same
+/// rounds as RoundSequential, gathered into COO and executed as fused sweeps
+/// through the scalar kernel table — no per-message variant dispatch, no
 /// per-reply coordinate copies.
 bench::BenchJsonEntry RoundCompiled(const datasets::Dataset& dataset,
                                     const std::string& label,
@@ -401,7 +410,7 @@ bench::BenchJsonEntry RoundCompiled(const datasets::Dataset& dataset,
       "round_throughput/" + label + "coo-compiled/n" +
           std::to_string(dataset.NodeCount()),
       rounds * dataset.NodeCount(), /*warmup=*/1, repeats,
-      [&] { simulation.RunRoundsCompiled(rounds); });
+      [&] { simulation.RunRounds(rounds); });
 }
 
 // ------------------------------------------------------------------------
@@ -667,7 +676,7 @@ AnnPlaneResult AnnQueryPlane(const datasets::Dataset& dataset,
                              std::size_t drift_rounds, std::size_t repeats,
                              common::ThreadPool* pool, bool build_scaling) {
   core::DmfsgdSimulation simulation(dataset, RoundConfigFor(dataset));
-  simulation.RunRoundsCompiled(train_rounds);
+  simulation.RunRounds(train_rounds);
   simulation.EnableDriftTracking();
   (void)simulation.TakeDirtyNodes();  // index from here; discard history
   const core::CoordinateStore& store = simulation.engine().store();
@@ -687,7 +696,7 @@ AnnPlaneResult AnnQueryPlane(const datasets::Dataset& dataset,
         std::chrono::duration<double>(serial_stop - serial_start).count() /
         result.build_seconds;
   }
-  simulation.RunRoundsCompiled(drift_rounds);
+  simulation.RunRounds(drift_rounds);
   (void)index.ApplyUpdates(simulation.TakeDirtyNodes(), pool);
 
   const std::size_t n = store.NodeCount();
@@ -963,6 +972,7 @@ int main(int argc, char** argv) {
   // (procedural delay-space ground truth — a dense matrix would be ~34 GB).
   double coo_speedup_8192 = 0.0;
   double coo_speedup_65536 = 0.0;
+  const std::size_t coo_rounds = quick ? 5 : 10;
   for (const std::size_t n : {std::size_t{8192}, std::size_t{65536}}) {
     datasets::Dataset dataset;
     if (n > 8192) {
@@ -973,7 +983,6 @@ int main(int argc, char** argv) {
     } else {
       dataset = MakeSyntheticRtt(n, 3);
     }
-    const std::size_t coo_rounds = quick ? 5 : 10;
     const auto per_message = RoundSequential(dataset, "", coo_rounds, repeats);
     const auto compiled = RoundCompiled(dataset, "", coo_rounds, repeats);
     entries.push_back(per_message);
@@ -982,6 +991,32 @@ int main(int argc, char** argv) {
         compiled.ops_per_sec / per_message.ops_per_sec;
   }
   const double coo_speedup = coo_speedup_65536;
+
+  // The parallel sweep against the compiled sequential sweep at the
+  // end-to-end benchmark's scale (n = 65536, k = 32): below it, batching
+  // beats threads; here the threads must win.
+  double round_parallel_vs_compiled = 0.0;
+  {
+    datasets::EuclideanRttConfig euclid;
+    euclid.node_count = 65536;
+    euclid.seed = 3;
+    const auto dataset = datasets::MakeEuclideanRtt(euclid);
+    core::SimulationConfig config = RoundConfigFor(dataset);
+    config.neighbor_count = 32;
+    const std::size_t items = coo_rounds * dataset.NodeCount();
+    core::DmfsgdSimulation sequential(dataset, config);
+    const auto compiled = bench::MeasureMinOfK(
+        "round_throughput/compiled-seq/n65536", items, /*warmup=*/1, repeats,
+        [&] { sequential.RunRounds(coo_rounds); });
+    core::DmfsgdSimulation parallel(dataset, config);
+    common::ThreadPool pool(hw);
+    const auto swept = bench::MeasureMinOfK(
+        "round_throughput/parallel-hw/n65536", items, /*warmup=*/1, repeats,
+        [&] { parallel.RunRoundsParallel(coo_rounds, pool); });
+    entries.push_back(compiled);
+    entries.push_back(swept);
+    round_parallel_vs_compiled = swept.ops_per_sec / compiled.ops_per_sec;
+  }
 
   // ANN query plane (DESIGN.md §16, §18): recall@10 against the fresh-
   // coordinate oracle and index-vs-scan query throughput on live-drifting
@@ -1099,7 +1134,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Algorithm-2 rounds (target-sharded phases) and the async event drain run
+  // Algorithm-2 rounds (target-group schedule) and the async event drain run
   // per tier; datasets are scoped so only one n² ground truth is live.
   double alg2_scaling = 0.0;
   double async_scaling = 0.0;
@@ -1215,6 +1250,7 @@ int main(int argc, char** argv) {
          {"coo_round_speedup", coo_speedup},
          {"coo_round_speedup_n8192", coo_speedup_8192},
          {"coo_round_speedup_n65536", coo_speedup_65536},
+         {"round_parallel_vs_compiled_n65536", round_parallel_vs_compiled},
          {"ann_recall_at_10", ann_recall_65536},
          {"ann_recall_at_10_n8192", ann_recall_8192},
          {"ann_qps_speedup", ann_speedup_65536},
@@ -1258,6 +1294,7 @@ int main(int argc, char** argv) {
       "sgd_update_speedup: %.3fx  matrix_parallel_scaling: %.3fx (hw=%zu)  "
       "round_parallel_scaling: %.3fx  "
       "coo_round_speedup: %.3fx (n8192 %.3fx, n65536 %.3fx)  "
+      "round_parallel_vs_compiled_n65536: %.3fx  "
       "ann_recall_at_10: %.3f (n8192 %.3f, n1m %.3f)  "
       "ann_qps_speedup: %.3fx (n8192 %.3fx, n1m %.3fx)  "
       "ann_index_build_seconds_n1m: %.1f  "
@@ -1273,7 +1310,8 @@ int main(int argc, char** argv) {
       "intershard_lossy_window_throughput: %.3f  "
       "-> %s\n",
       sgd_speedup, matrix_scaling, hw, round_scaling, coo_speedup,
-      coo_speedup_8192, coo_speedup_65536, ann_recall_65536, ann_recall_8192,
+      coo_speedup_8192, coo_speedup_65536, round_parallel_vs_compiled,
+      ann_recall_65536, ann_recall_8192,
       ann_recall_1m, ann_speedup_65536, ann_speedup_8192, ann_speedup_1m,
       ann_build_seconds_1m, ann_build_scaling, svc_query_parallel_scaling, svc_p50_65536,
       svc_p99_65536, svc_ingest_65536, svc_stale_65536, alg2_scaling,

@@ -97,12 +97,6 @@ else
   done
 fi
 
-# The sparse round compiler (DESIGN.md §14) is opt-in through --compile-rounds
-# on both drivers; the README must keep the flag discoverable.
-if [[ -f README.md ]] && ! grep -q -- '--compile-rounds' README.md; then
-  docs_failures+=("README.md does not document the --compile-rounds flag")
-fi
-
 # The ANN query plane (DESIGN.md §16) is opt-in through --index on the peer
 # selection demo; the README must keep the flag discoverable.
 if [[ -f README.md ]] && ! grep -q -- '--index' README.md; then

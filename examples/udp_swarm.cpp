@@ -14,15 +14,9 @@
 // into a single mini-batch gradient step.  The datagram counter at the end
 // shows what coalescing saves on the wire.
 //
-// With --coalesce --compile-rounds the packed envelopes keep the coalesced
-// framing on the wire but run through the sparse round compiler's
-// per-message fused handler (DESIGN.md §14): one kernel-table resolution
-// per envelope, one gradient step per item — per-message arithmetic, so
-// the learned state matches the per-message fold of the same envelopes.
-//
 // Usage: udp_swarm [--nodes=N] [--neighbors=K] [--rounds=R] plus the shared
 // protocol flags (common::ProtocolFlagNames): --rank --eta --lambda --loss
-// --tau --seed --batch-size --coalesce --compile-rounds
+// --tau --seed --batch-size --coalesce
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -55,12 +49,6 @@ int main(int argc, char** argv) {
   common::ApplyProtocolFlags(flags, base, dataset.MedianValue());
   const double tau = base.tau;
   const std::size_t batch = base.probe_burst;
-  if (base.compile_rounds && !base.coalesce_delivery) {
-    std::cerr << "udp_swarm: --compile-rounds needs --coalesce (without "
-                 "packed envelopes every datagram is a singleton and there "
-                 "is nothing to compile)\n";
-    return 1;
-  }
 
   // The "measurement tool": in deployment this is the ping timing; here the
   // delay-space ground truth thresholded at tau.
@@ -91,7 +79,7 @@ int main(int argc, char** argv) {
             << peers.front()->Port() << ".." << peers.back()->Port()
             << "), k = " << k << ", tau = " << tau << " ms, batch = " << batch
             << (base.coalesce_delivery ? ", coalesced" : ", per-message")
-            << (base.compile_rounds ? ", compiled envelopes" : "") << "\n";
+            << "\n";
 
   // Train: everyone probes once per round, then the swarm drains its mail.
   for (std::size_t round = 0; round < rounds; ++round) {

@@ -12,7 +12,7 @@
 // pool size, including 1 (which runs inline on the caller with no threads at
 // all).  That property is what the parallel-sweep determinism test pins.
 //
-// ## Determinism contract for callers (DESIGN.md §6, §8, §9)
+// ## Determinism contract for callers (DESIGN.md §6, §9, §14)
 //
 // The pool guarantees *where* indices run, never *when*; bit-identical
 // results additionally require that the submitted fn:

@@ -11,16 +11,16 @@
 // exactly what DmfsgdNode (a view over one row) and the deployment engine
 // rely on.
 //
-// ## Concurrency / determinism contract (DESIGN.md §6, §8, §9)
+// ## Concurrency / determinism contract (DESIGN.md §6, §9, §14)
 //
 // The store itself takes no locks; the engine's parallel paths stay
 // race-free and bit-identical across pool sizes purely through *row
 // ownership*, which callers must respect:
 //
 //  * a row pair (u_i, v_i) is written only by tasks that own node i — one
-//    task per node in the Algorithm-1 sweep, the unique prober of u_i and
-//    the unique per-phase targeter of v_i in the Algorithm-2 schedule, the
-//    owner shard in an async drain;
+//    task per node in the Algorithm-1 sweep, the target-row range holding
+//    v_i (and the u rows of v_i's probers) in the Algorithm-2 target-group
+//    schedule, the owner shard in an async drain;
 //  * concurrent *reads* of remote rows are only safe against snapshots
 //    (the sweep's start-of-round copy, protocol-message copies), never
 //    against rows another live task may be updating;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/thread_pool.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace dmfsgd::core {
@@ -45,35 +46,6 @@ const SimulationConfig& RequireConfig(const Dataset& dataset,
 }
 
 }  // namespace
-
-std::vector<std::vector<std::uint32_t>> GreedyTargetPhases(
-    std::span<const NodeId> targets, std::span<const unsigned char> active) {
-  if (targets.size() != active.size()) {
-    throw std::invalid_argument(
-        "GreedyTargetPhases: targets and active must have equal length");
-  }
-  // phase(pair) = number of earlier active pairs with the same target; the
-  // counts live in a dense map over the target id range.
-  NodeId max_target = 0;
-  for (std::size_t p = 0; p < targets.size(); ++p) {
-    if (active[p] != 0) {
-      max_target = std::max(max_target, targets[p]);
-    }
-  }
-  std::vector<std::uint32_t> taken(static_cast<std::size_t>(max_target) + 1, 0);
-  std::vector<std::vector<std::uint32_t>> phases;
-  for (std::size_t p = 0; p < targets.size(); ++p) {
-    if (active[p] == 0) {
-      continue;
-    }
-    const std::uint32_t phase = taken[targets[p]]++;
-    if (phase == phases.size()) {
-      phases.emplace_back();
-    }
-    phases[phase].push_back(static_cast<std::uint32_t>(p));
-  }
-  return phases;
-}
 
 const char* ProbeStrategyName(ProbeStrategy strategy) noexcept {
   switch (strategy) {
@@ -269,81 +241,6 @@ common::Rng& DeploymentEngine::NodeRng(NodeId i) {
   return per_node_rng_[i];
 }
 
-void DeploymentEngine::ParallelRoundSweep(common::ThreadPool& pool) {
-  if (config_.probe_burst > 1) {
-    // The snapshot sweep models one exchange per node per round; batched
-    // rounds run through the sequential driver or the async drains.
-    throw std::logic_error(
-        "DeploymentEngine::ParallelRoundSweep: probe_burst > 1 is not "
-        "supported on the parallel sweep path");
-  }
-  if (config_.compile_rounds) {
-    if (abw_) {
-      CompiledParallelAbwSweep(pool);
-    } else {
-      CompiledParallelRttSweep(pool);
-    }
-    return;
-  }
-  if (abw_) {
-    ParallelAbwRoundSweep(pool);
-    return;
-  }
-  const std::size_t n = nodes_.size();
-  const std::size_t r = config_.rank;
-  EnsurePerNodeStreams();
-
-  // Membership dynamics stay on the engine stream, sequential and identical
-  // regardless of pool size (they also rebuild neighbor sets, which other
-  // nodes' probes must not observe mid-round).
-  ChurnSweep();
-
-  // Start-of-round snapshot: every probe reads remote coordinates as they
-  // stood here — each reply is a snapshot captured at round start.
-  const auto u_data = store_.UData();
-  const auto v_data = store_.VData();
-  sweep_u_.assign(u_data.begin(), u_data.end());
-  sweep_v_.assign(v_data.begin(), v_data.end());
-
-  pool.ParallelFor(0, n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      common::Rng& rng = per_node_rng_[i];
-      const NodeId j = PickNeighborWith(static_cast<NodeId>(i), rng);
-      // Two protocol legs, each dropped independently — the same roll
-      // sequence LegLost() produces on the sequential path (the second leg
-      // is only rolled if the first survived).
-      bool lost = false;
-      if (config_.message_loss > 0.0) {
-        lost = rng.Bernoulli(config_.message_loss) ||
-               rng.Bernoulli(config_.message_loss);
-      }
-      sweep_state_[i] = lost ? 1 : 0;
-      if (lost) {
-        continue;
-      }
-      const double x = MeasurementFor(i, j, std::nullopt);
-      const std::span<const double> u_remote(sweep_u_.data() + j * r, r);
-      const std::span<const double> v_remote(sweep_v_.data() + j * r, r);
-      RecordNeighborLoss(static_cast<NodeId>(i), j, x, v_remote);
-      nodes_[i].RttUpdate(x, u_remote, v_remote, config_.params);
-    }
-  });
-
-  // An exchange either dropped a leg or applied its measurement, so one
-  // per-node flag determines both counters; a node that measured also
-  // updated its own rows (drift marks go here, after the join).
-  std::size_t dropped = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sweep_state_[i] != 0) {
-      ++dropped;
-    } else {
-      MarkDirty(i);
-    }
-  }
-  dropped_legs_ += dropped;
-  measurement_count_ += n - dropped;
-}
-
 void DeploymentEngine::CompiledRoundSweep(const linalg::KernelOps& kernels) {
   if (config_.probe_burst > 1) {
     // The compiled gather models one exchange per node per round, like the
@@ -439,55 +336,98 @@ void DeploymentEngine::ExecuteCompiledAbwRound(
   }
 }
 
-void DeploymentEngine::CompiledParallelRttSweep(common::ThreadPool& pool) {
+namespace {
+
+// Outcome of one exchange, decided entirely by the prober's private rolls
+// before any update runs.
+constexpr unsigned char kExchangeFull = 0;      // both legs survived
+constexpr unsigned char kExchangeLeg2Lost = 1;  // reply lost (ABW: target updated)
+constexpr unsigned char kExchangeLeg1Lost = 2;  // probe lost, nothing happened
+
+/// The two protocol legs, each dropped independently — the roll sequence
+/// LegLost() produces on the sequential path (leg 2 is only rolled if leg 1
+/// survived).
+unsigned char RollLegs(double message_loss, common::Rng& rng) {
+  if (message_loss > 0.0) {
+    if (rng.Bernoulli(message_loss)) {
+      return kExchangeLeg1Lost;
+    }
+    if (rng.Bernoulli(message_loss)) {
+      return kExchangeLeg2Lost;
+    }
+  }
+  return kExchangeFull;
+}
+
+}  // namespace
+
+void DeploymentEngine::ParallelRoundSweep(common::ThreadPool& pool) {
+  if (config_.probe_burst > 1) {
+    // The snapshot sweep models one exchange per node per round; batched
+    // rounds run through the sequential driver or the async drains.
+    throw std::logic_error(
+        "DeploymentEngine::ParallelRoundSweep: probe_burst > 1 is not "
+        "supported on the parallel sweep path");
+  }
+  EnsurePerNodeStreams();
+  // Membership dynamics stay on the engine stream, sequential and identical
+  // regardless of pool size (they also rebuild neighbor sets, which other
+  // nodes' probes must not observe mid-round).
+  ChurnSweep();
+  if (abw_) {
+    ParallelTargetGroupSweep(pool);
+    return;
+  }
   const std::size_t n = nodes_.size();
   const std::size_t r = config_.rank;
-  EnsurePerNodeStreams();
-  ChurnSweep();
 
+  // Start-of-round snapshot: every probe reads remote coordinates as they
+  // stood here — each reply is a snapshot captured at round start.
   const auto u_data = store_.UData();
   const auto v_data = store_.VData();
   sweep_u_.assign(u_data.begin(), u_data.end());
   sweep_v_.assign(v_data.begin(), v_data.end());
+
+  // One ParallelFor; each block runs in chunks of draws (pick + leg rolls)
+  // followed by the chunk's updates.  Node i's work touches only node-owned
+  // state and its own rows, so the chunking never changes a bit; it keeps
+  // the update loop free of the RNG chains, so its snapshot-row misses
+  // overlap, while costing no second fork-join per round.  The scalar table
+  // keeps the result independent of the active kernel ISA.
+  const linalg::KernelOps& scalar =
+      linalg::KernelsFor(linalg::KernelIsa::kScalar);
+  constexpr std::size_t kChunk = 64;
   sweep_target_.resize(n);
-
-  // Gather: draws only — the same streams rolled in the same order as the
-  // uncompiled sweep, so both sweeps follow one trajectory.
   pool.ParallelFor(0, n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      common::Rng& rng = per_node_rng_[i];
-      sweep_target_[i] = PickNeighborWith(static_cast<NodeId>(i), rng);
-      bool lost = false;
-      if (config_.message_loss > 0.0) {
-        lost = rng.Bernoulli(config_.message_loss) ||
-               rng.Bernoulli(config_.message_loss);
+    for (std::size_t begin = lo; begin < hi; begin += kChunk) {
+      const std::size_t end = std::min(hi, begin + kChunk);
+      for (std::size_t i = begin; i < end; ++i) {
+        common::Rng& rng = per_node_rng_[i];
+        sweep_target_[i] = PickNeighborWith(static_cast<NodeId>(i), rng);
+        sweep_state_[i] = RollLegs(config_.message_loss, rng);
       }
-      sweep_state_[i] = lost ? 1 : 0;
+      for (std::size_t i = begin; i < end; ++i) {
+        if (sweep_state_[i] != kExchangeFull) {
+          continue;  // a lost RTT leg loses the whole exchange
+        }
+        const NodeId j = sweep_target_[i];
+        const double x = MeasurementFor(i, j, std::nullopt);
+        const double* u_remote = sweep_u_.data() + j * r;
+        const double* v_remote = sweep_v_.data() + j * r;
+        RecordNeighborLoss(static_cast<NodeId>(i), j, x,
+                           std::span<const double>(v_remote, r));
+        CompiledRttStep(scalar, config_.params, x, u_remote, v_remote,
+                        store_.U(i).data(), store_.V(i).data(), r);
+      }
     }
   });
 
-  // Execute: the gathered edges partitioned into contiguous row ranges
-  // (edge i updates exactly rows i of both factors), swept through a kernel
-  // table fetched once — no variant dispatch, no per-message copies.
-  const linalg::KernelOps& kernels = linalg::ActiveKernels();
-  pool.ParallelFor(0, n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (sweep_state_[i] != 0) {
-        continue;
-      }
-      const NodeId j = sweep_target_[i];
-      const double x = MeasurementFor(i, j, std::nullopt);
-      const std::span<const double> v_remote(sweep_v_.data() + j * r, r);
-      RecordNeighborLoss(static_cast<NodeId>(i), j, x, v_remote);
-      CompiledRttStep(kernels, config_.params, x, sweep_u_.data() + j * r,
-                      sweep_v_.data() + j * r, store_.U(i).data(),
-                      store_.V(i).data(), r);
-    }
-  });
-
+  // An exchange either dropped a leg or applied its measurement, so one
+  // per-node flag determines both counters; a node that measured also
+  // updated its own rows (drift marks go here, after the join).
   std::size_t dropped = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (sweep_state_[i] != 0) {
+    if (sweep_state_[i] != kExchangeFull) {
       ++dropped;
     } else {
       MarkDirty(i);
@@ -497,134 +437,42 @@ void DeploymentEngine::CompiledParallelRttSweep(common::ThreadPool& pool) {
   measurement_count_ += n - dropped;
 }
 
-namespace {
-
-// Outcome of one Algorithm-2 exchange, decided entirely by the prober's
-// private rolls before any phase runs.
-constexpr unsigned char kAbwFull = 0;      // both legs survived
-constexpr unsigned char kAbwLeg2Lost = 1;  // target updated, reply lost
-constexpr unsigned char kAbwLeg1Lost = 2;  // probe lost, nothing happened
-
-}  // namespace
-
-void DeploymentEngine::ParallelAbwRoundSweep(common::ThreadPool& pool) {
-  const std::size_t n = nodes_.size();
-  EnsurePerNodeStreams();
-  ChurnSweep();  // sequential on the engine stream, like the Algorithm-1 path
-
-  // 1. Draws: each prober picks its target and rolls both protocol legs from
-  // its private stream (leg 2 only if leg 1 survived — the sequential roll
-  // order).  Node-owned state only, so the draws themselves parallelize.
-  sweep_target_.resize(n);
-  pool.ParallelFor(0, n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      common::Rng& rng = per_node_rng_[i];
-      sweep_target_[i] = PickNeighborWith(static_cast<NodeId>(i), rng);
-      unsigned char state = kAbwFull;
-      if (config_.message_loss > 0.0) {
-        if (rng.Bernoulli(config_.message_loss)) {
-          state = kAbwLeg1Lost;
-        } else if (rng.Bernoulli(config_.message_loss)) {
-          state = kAbwLeg2Lost;
-        }
-      }
-      sweep_state_[i] = state;
-    }
-  });
-
-  // 2. Greedy target-disjoint phases over the pairs that will update state
-  // (a lost probe updates nobody and needs no slot).
-  std::vector<unsigned char> active(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    active[i] = sweep_state_[i] != kAbwLeg1Lost ? 1 : 0;
-  }
-  const auto phases = GreedyTargetPhases(sweep_target_, active);
-
-  // 3. Run the phases.  Within a phase every prober and every target is
-  // distinct, so pair (i, j)'s task exclusively owns u_i and v_j; across
-  // phases, same-target updates apply in ascending prober order.  Each task
-  // replays the sequential exchange exactly: the target consumes x and the
-  // probe's u_i and updates v_j; the prober consumes the *pre-update* v_j.
-  for (const auto& phase : phases) {
-    pool.ParallelFor(0, phase.size(), [&](std::size_t lo, std::size_t hi) {
-      std::vector<double> v_pre(config_.rank);
-      for (std::size_t p = lo; p < hi; ++p) {
-        const std::size_t i = phase[p];
-        const NodeId j = sweep_target_[i];
-        const double x = MeasurementFor(i, j, std::nullopt);
-        const auto v_j = nodes_[j].v();
-        std::copy(v_j.begin(), v_j.end(), v_pre.begin());
-        nodes_[j].AbwTargetUpdate(x, nodes_[i].u(), config_.params);  // eq. 13
-        if (sweep_state_[i] == kAbwFull) {
-          RecordNeighborLoss(static_cast<NodeId>(i), j, x, v_pre);
-          nodes_[i].AbwProberUpdate(x, v_pre, config_.params);  // eq. 12
-        }
-      }
-    });
-  }
-
-  // 4. Counters, reduced exactly as the sequential exchanges would have:
-  // the target consumes the measurement even when the reply is lost.
-  std::size_t measured = 0;
-  std::size_t dropped = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sweep_state_[i] != kAbwLeg1Lost) {
-      ++measured;
-      MarkDirty(sweep_target_[i]);  // the target's v row took eq. 13
-      if (sweep_state_[i] == kAbwFull) {
-        MarkDirty(i);  // the prober's u row took eq. 12
-      }
-    }
-    dropped += sweep_state_[i] != kAbwFull ? 1 : 0;
-  }
-  measurement_count_ += measured;
-  dropped_legs_ += dropped;
-}
-
-void DeploymentEngine::CompiledParallelAbwSweep(common::ThreadPool& pool) {
+void DeploymentEngine::ParallelTargetGroupSweep(common::ThreadPool& pool) {
   const std::size_t n = nodes_.size();
   const std::size_t r = config_.rank;
-  EnsurePerNodeStreams();
-  ChurnSweep();
 
-  // 1. Draws — identical streams and roll order to ParallelAbwRoundSweep.
+  // 1. Draws: each prober picks its target and rolls both protocol legs from
+  // its private stream.  Node-owned state only, so the draws parallelize.
   sweep_target_.resize(n);
   pool.ParallelFor(0, n, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       common::Rng& rng = per_node_rng_[i];
       sweep_target_[i] = PickNeighborWith(static_cast<NodeId>(i), rng);
-      unsigned char state = kAbwFull;
-      if (config_.message_loss > 0.0) {
-        if (rng.Bernoulli(config_.message_loss)) {
-          state = kAbwLeg1Lost;
-        } else if (rng.Bernoulli(config_.message_loss)) {
-          state = kAbwLeg2Lost;
-        }
-      }
-      sweep_state_[i] = state;
+      sweep_state_[i] = RollLegs(config_.message_loss, rng);
     }
   });
 
-  // 2. Compile: row-major COO, grouped by updated v row, stable by prober
-  // order (probers are gathered ascending, and the grouping sort is
-  // stable).  Sequential and deterministic — pool size never enters.
+  // 2. Compile: row-major COO over the exchanges that update state (a lost
+  // probe updates nobody), grouped by updated v row, stable by prober order
+  // (probers are gathered ascending, and the grouping sort is stable).
+  // Sequential and deterministic — pool size never enters.
   round_coo_.Clear();
   for (std::size_t i = 0; i < n; ++i) {
-    if (sweep_state_[i] != kAbwLeg1Lost) {
+    if (sweep_state_[i] != kExchangeLeg1Lost) {
       round_coo_.Add(static_cast<NodeId>(i), sweep_target_[i],
-                     sweep_state_[i] == kAbwFull);
+                     sweep_state_[i] == kExchangeFull);
     }
   }
   round_coo_.GroupByTarget(n);
 
-  // 3. One ParallelFor over contiguous target-row ranges replaces the
-  // phase-barrier schedule: a range exclusively owns v of its target rows
-  // and u of their probers (each prober appears in exactly one group), so
-  // the partition is data-race-free, and within a group the updates apply
-  // in the same ascending-prober order the phases enforced — bit-identical
-  // results for every pool size, and to the uncompiled schedule under the
-  // scalar kernel table.
-  const linalg::KernelOps& kernels = linalg::ActiveKernels();
+  // 3. One ParallelFor over contiguous target-row ranges: a range
+  // exclusively owns v of its target rows and u of their probers (each
+  // prober appears in exactly one group), so the partition is data-race-
+  // free.  Within a group the updates apply in ascending prober order, each
+  // replaying the sequential exchange: the target consumes x and the probe's
+  // u_i and updates v_j; the prober consumes the *pre-update* v_j.
+  const linalg::KernelOps& scalar =
+      linalg::KernelsFor(linalg::KernelIsa::kScalar);
   const auto& edges = round_coo_.Edges();
   pool.ParallelFor(0, n, [&](std::size_t lo, std::size_t hi) {
     std::vector<double> v_pre(r);
@@ -636,29 +484,30 @@ void DeploymentEngine::CompiledParallelAbwSweep(common::ThreadPool& pool) {
         if (edge.full != 0) {
           std::copy(v_row, v_row + r, v_pre.begin());
         }
-        CompiledAbwTargetStep(kernels, config_.params, x,
+        CompiledAbwTargetStep(scalar, config_.params, x,
                               store_.U(edge.prober).data(), v_row, r);  // eq. 13
         if (edge.full != 0) {
           RecordNeighborLoss(edge.prober, static_cast<NodeId>(t), x, v_pre);
-          CompiledAbwProberStep(kernels, config_.params, x, v_pre.data(),
+          CompiledAbwProberStep(scalar, config_.params, x, v_pre.data(),
                                 store_.U(edge.prober).data(), r);  // eq. 12
         }
       }
     }
   });
 
-  // 4. Same counter reduction as the phase schedule.
+  // 4. Counters, reduced exactly as the sequential exchanges would have:
+  // the target consumes the measurement even when the reply is lost.
   std::size_t measured = 0;
   std::size_t dropped = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (sweep_state_[i] != kAbwLeg1Lost) {
+    if (sweep_state_[i] != kExchangeLeg1Lost) {
       ++measured;
       MarkDirty(sweep_target_[i]);  // the target's v row took eq. 13
-      if (sweep_state_[i] == kAbwFull) {
+      if (sweep_state_[i] == kExchangeFull) {
         MarkDirty(i);  // the prober's u row took eq. 12
       }
     }
-    dropped += sweep_state_[i] != kAbwFull ? 1 : 0;
+    dropped += sweep_state_[i] != kExchangeFull ? 1 : 0;
   }
   measurement_count_ += measured;
   dropped_legs_ += dropped;
@@ -895,28 +744,6 @@ void DeploymentEngine::OnBatch(const MessageBatch& batch) {
   // handler in order — bit-identical to the pre-batch engine (an envelope
   // is its messages in order, DESIGN.md §13).
   if (config_.gradient_batch_size <= 1 || batch.items.size() <= 1) {
-    // Window-compile (opt-in, DESIGN.md §14): a multi-item envelope is a
-    // conservative delivery window, so its reply runs can execute as fused
-    // compiled sweeps — same per-message arithmetic and bookkeeping, but
-    // through a kernel table fetched once per run and raw store rows, no
-    // coordinate copies.  Mini-batch mode (the branch below) takes
-    // precedence; singletons stay on the per-message handlers.
-    if (config_.compile_rounds && batch.items.size() > 1) {
-      std::size_t i = 0;
-      while (i < batch.items.size()) {
-        const ProtocolMessage& message = batch.items[i].message;
-        if (std::holds_alternative<RttProbeReply>(message)) {
-          i = CompileRttReplies(batch, i);
-        } else if (std::holds_alternative<AbwProbeReply>(message)) {
-          i = CompileAbwReplies(batch, i);
-        } else {
-          // Requests send replies — they stay per-message.
-          OnMessage(batch.items[i].from, batch.to, message);
-          ++i;
-        }
-      }
-      return;
-    }
     for (const BatchItem& item : batch.items) {
       OnMessage(item.from, batch.to, item.message);
     }
@@ -1038,62 +865,6 @@ std::size_t DeploymentEngine::FoldAbwRequests(const MessageBatch& batch,
   }
   nodes_[target].ApplyBatchV(dv, config_.params);
   MarkDirty(target);
-  return end;
-}
-
-std::size_t DeploymentEngine::CompileRttReplies(const MessageBatch& batch,
-                                                std::size_t start) {
-  const std::size_t end =
-      RunEnd<RttProbeReply>(batch, start, batch.items.size());
-  const NodeId prober = batch.to;
-  const std::size_t r = config_.rank;
-  // The whole run updates only the prober's own rows: hoist the kernel
-  // table and row pointers, then replay the run in envelope order — the
-  // arithmetic and bookkeeping of HandleRttReply, item for item.  (Trace
-  // overrides never reach here: ReplayTrace rejects coalescing channels,
-  // and only coalescing produces multi-item envelopes.)
-  const linalg::KernelOps& kernels = linalg::ActiveKernels();
-  double* u_row = store_.U(prober).data();
-  double* v_row = store_.V(prober).data();
-  for (std::size_t k = start; k < end; ++k) {
-    const auto& reply = std::get<RttProbeReply>(batch.items[k].message);
-    if (reply.u.size() != r || reply.v.size() != r) {
-      throw std::invalid_argument(
-          "DeploymentEngine: RttProbeReply coordinate rank mismatch");
-    }
-    const double x = MeasurementFor(prober, reply.target, std::nullopt);
-    RecordNeighborLoss(prober, reply.target, x, reply.v);
-    CompiledRttStep(kernels, config_.params, x, reply.u.data(), reply.v.data(),
-                    u_row, v_row, r);
-    CountMeasurementAt(prober);
-    ResolveExchangeAt(prober);
-  }
-  MarkDirty(prober);
-  return end;
-}
-
-std::size_t DeploymentEngine::CompileAbwReplies(const MessageBatch& batch,
-                                                std::size_t start) {
-  const std::size_t end =
-      RunEnd<AbwProbeReply>(batch, start, batch.items.size());
-  const NodeId prober = batch.to;
-  const std::size_t r = config_.rank;
-  // HandleAbwReply's arithmetic and bookkeeping (the target already
-  // consumed the measurement when it replied — no CountMeasurementAt).
-  const linalg::KernelOps& kernels = linalg::ActiveKernels();
-  double* u_row = store_.U(prober).data();
-  for (std::size_t k = start; k < end; ++k) {
-    const auto& reply = std::get<AbwProbeReply>(batch.items[k].message);
-    if (reply.v.size() != r) {
-      throw std::invalid_argument(
-          "DeploymentEngine: AbwProbeReply coordinate rank mismatch");
-    }
-    RecordNeighborLoss(prober, reply.target, reply.measurement, reply.v);
-    CompiledAbwProberStep(kernels, config_.params, reply.measurement,
-                          reply.v.data(), u_row, r);  // eq. 12
-    ResolveExchangeAt(prober);
-  }
-  MarkDirty(prober);
   return end;
 }
 

@@ -26,7 +26,7 @@
 // Coordinates live in a structure-of-arrays CoordinateStore; DmfsgdNode
 // objects are row views, so the SGD inner loop walks contiguous memory.
 //
-// ## Determinism contract (DESIGN.md §6, §8, §9) — callers must not break it
+// ## Determinism contract (DESIGN.md §6, §9, §14) — callers must not break it
 //
 // The engine offers two execution regimes and each one's reproducibility
 // rests on invariants that belong to the *caller* as much as to the engine:
@@ -39,12 +39,14 @@
 //    from a private decorrelated stream (`NodeRng`), advanced only by that
 //    node's own protocol activity, and every remote coordinate a node
 //    consumes is a snapshot captured at a deterministic point — the start of
-//    the round (Algorithm 1), the phase schedule position (Algorithm 2), or
-//    the message send time (sharded async drain).  Results are therefore
-//    bit-identical for every thread-pool size.  Callers must not read or
-//    mutate engine state (coordinates, membership, counters) from outside
-//    while a parallel call is in flight, and must not mix the per-node
-//    streams into sequential paths.
+//    the round (Algorithm 1), the exchange's position in its target's
+//    ascending-prober group (Algorithm 2), or the message send time
+//    (sharded async drain).  The round sweeps update through the scalar
+//    kernel table, so results are bit-identical for every thread-pool size
+//    and every active kernel ISA.  Callers must not read or mutate engine
+//    state (coordinates, membership, counters) from outside while a
+//    parallel call is in flight, and must not mix the per-node streams into
+//    sequential paths.
 #pragma once
 
 #include <cstdint>
@@ -84,28 +86,9 @@ enum class ProbeStrategy {
 /// Human-readable strategy name.
 [[nodiscard]] const char* ProbeStrategyName(ProbeStrategy strategy) noexcept;
 
-/// Greedy target-disjoint phase assignment for one round of exchanges
-/// (DESIGN.md §8).  Pair p is the exchange prober_p -> targets[p]; pairs with
-/// active[p] == 0 perform no update and are left out of the schedule.  Pairs
-/// are scanned in index order and each active pair joins the earliest phase
-/// in which its target is not yet taken, so
-///
-///   * within a phase every target is distinct (phases are data-race-free:
-///     pair p writes only u of prober p — unique by construction, one probe
-///     per node per round — and v of its target);
-///   * for any one target, its pairs appear in ascending prober order across
-///     phases, which fixes the order of same-target updates;
-///   * the result depends only on (targets, active), never on thread count.
-///
-/// Returns the phases in order; phases[k] holds pair indices ascending.
-/// Empty input yields an empty schedule.  Requires active.size() ==
-/// targets.size().
-[[nodiscard]] std::vector<std::vector<std::uint32_t>> GreedyTargetPhases(
-    std::span<const NodeId> targets, std::span<const unsigned char> active);
-
 /// The simulation drivers' deployment config: the shared protocol knobs
-/// (rank, η/λ/loss, τ, seed, probe_burst, coalesce_delivery, compile_rounds
-/// — see core/protocol_config.hpp; validated by the one shared
+/// (rank, η/λ/loss, τ, seed, probe_burst, coalesce_delivery — see
+/// core/protocol_config.hpp; validated by the one shared
 /// ValidateProtocolConfig) plus the driver-specific knobs below.
 ///
 /// Driver semantics of the inherited knobs:
@@ -118,12 +101,6 @@ enum class ProbeStrategy {
 ///    same-destination same-arrival-time messages into one event.  With
 ///    gradient_batch_size == 1 the drains are bit-identical to
 ///    per-message delivery (DESIGN.md §13).
-///  * compile_rounds — the parallel round sweep gathers rounds into
-///    row-major COO fused sweeps and the engine folds multi-message reply
-///    envelopes through the same fused executor; bit-identical to the
-///    per-message twin under the scalar kernel table (DESIGN.md §14).
-///    Mini-batch folding (gradient_batch_size > 1) takes precedence on
-///    the receive path.
 struct SimulationConfig : ProtocolConfig {
   PredictionMode mode = PredictionMode::kClassification;
   std::size_t neighbor_count = 10; ///< k
@@ -215,20 +192,23 @@ class DeploymentEngine {
   /// coordinates and shares one RNG stream).  Counters (measurements,
   /// dropped legs) are updated exactly as the sequential round would.  The
   /// channel stack is bypassed — this is a perf path for the round driver,
-  /// not a delivery channel.  Two schedules, picked by the dataset's metric:
+  /// not a delivery channel.  Updates run through the scalar kernel table,
+  /// so the active ISA never changes a bit.  One schedule per algorithm,
+  /// picked by the dataset's metric (DESIGN.md §14):
   ///
   ///  * Algorithm 1 (prober-measured, RTT): each node's exchange writes only
-  ///    its own rows, so one flat sweep suffices; every reply is a snapshot
-  ///    captured at the start of the round (the §6.1 staleness regime).
+  ///    its own rows, so one ParallelFor suffices (its blocks draw, then
+  ///    update, 64 nodes at a time); every reply is a snapshot captured at
+  ///    the start of the round (the §6.1 staleness regime).
   ///  * Algorithm 2 (target-measured, ABW): an exchange i -> j writes u_i at
-  ///    the prober *and* v_j at the target, so the round's pairs are
-  ///    partitioned into target-disjoint phases (GreedyTargetPhases over the
-  ///    start-of-round membership snapshot, DESIGN.md §8) and the phases run
-  ///    as successive data-race-free ParallelFors.  Within one pair the
-  ///    sequential exchange order is reproduced exactly: the target consumes
-  ///    the probe's u_i and updates v_j, the prober consumes the pre-update
-  ///    v_j; same-target updates across phases apply in ascending prober
-  ///    order.
+  ///    the prober *and* v_j at the target.  After a parallel draw pass the
+  ///    surviving exchanges are grouped by target row (row-major COO,
+  ///    stable by prober order) and one ParallelFor sweeps contiguous
+  ///    target ranges — each range owns its targets' v rows and their
+  ///    probers' u rows, so no barriers are needed.  Within one exchange
+  ///    the sequential order is reproduced exactly: the target consumes the
+  ///    probe's u_i and updates v_j, the prober consumes the pre-update v_j;
+  ///    same-target updates apply in ascending prober order.
   void ParallelRoundSweep(common::ThreadPool& pool);
 
   /// Runs one full probing round through the sparse round compiler
@@ -337,20 +317,9 @@ class DeploymentEngine {
   /// Builds per_node_rng_ (and the per-node sweep scratch) if absent.
   void EnsurePerNodeStreams();
 
-  /// The Algorithm-2 half of ParallelRoundSweep: target-sharded phases.
-  void ParallelAbwRoundSweep(common::ThreadPool& pool);
-
-  /// The compiled twins of the parallel sweeps (config.compile_rounds):
-  /// same per-node draws, but the gradient pass runs as fused sweeps over
-  /// contiguous row ranges — Algorithm 1 splits the fused pick+update loop
-  /// into a draw pass and a branch-light execute pass; Algorithm 2 replaces
-  /// the phase-barrier schedule with one ParallelFor over stable row-major
-  /// target groups (each range exclusively owns its targets' v rows and the
-  /// u rows of their probers, who appear in exactly one group).  Bit-
-  /// identical to the uncompiled sweeps under the scalar kernel table, and
-  /// to themselves for every pool size.
-  void CompiledParallelRttSweep(common::ThreadPool& pool);
-  void CompiledParallelAbwSweep(common::ThreadPool& pool);
+  /// The Algorithm-2 half of ParallelRoundSweep: draws, then the row-major
+  /// target-group sweep.
+  void ParallelTargetGroupSweep(common::ThreadPool& pool);
 
   /// The sequential execute passes shared by CompiledRoundSweep.
   void ExecuteCompiledRttRound(const linalg::KernelOps& kernels);
@@ -396,16 +365,6 @@ class DeploymentEngine {
   std::size_t FoldAbwReplies(const MessageBatch& batch, std::size_t start);
   std::size_t FoldAbwRequests(const MessageBatch& batch, std::size_t start);
 
-  /// Window-compile folds (config.compile_rounds, per-message gradients):
-  /// a consecutive same-kind reply run inside one delivered envelope — the
-  /// unit an async conservative window or a coalesced burst produces — runs
-  /// through the fused compiled executor with the kernel table hoisted out
-  /// of the loop.  Per-message arithmetic and bookkeeping are preserved
-  /// item for item, so the fold is bit-identical to the per-message
-  /// handlers under the scalar table.  Each returns one past the run.
-  std::size_t CompileRttReplies(const MessageBatch& batch, std::size_t start);
-  std::size_t CompileAbwReplies(const MessageBatch& batch, std::size_t start);
-
   /// Feeds the loss-driven strategy after a completed exchange.
   void RecordNeighborLoss(NodeId i, NodeId j, double x,
                           std::span<const double> v_remote);
@@ -436,8 +395,8 @@ class DeploymentEngine {
 
   // Parallel-path state, built lazily on first use: one decorrelated RNG
   // stream per node (advanced only by that node's draws), the Algorithm-1
-  // start-of-round coordinate snapshot, and per-node scratch (drop flags /
-  // exchange outcomes / chosen targets) reduced sequentially after joins.
+  // start-of-round coordinate snapshot, and per-node scratch (exchange
+  // outcomes / chosen targets) reduced sequentially after joins.
   std::vector<common::Rng> per_node_rng_;
   std::vector<double> sweep_u_;
   std::vector<double> sweep_v_;

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/rng.hpp"
-#include "core/round_compiler.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/vector_ops.hpp"
 
@@ -101,32 +100,6 @@ void DmfsgdNode::AbwTargetUpdate(double x, std::span<const double> u_remote,
   const double x_hat = linalg::DotRaw(u_remote.data(), v().data(), rank());
   const double g = LossGradientScale(params.loss, x, x_hat);
   GradientStepV(g, u_remote, params);  // eq. 13
-}
-
-void DmfsgdNode::RttUpdateWith(const linalg::KernelOps& kernels, double x,
-                               std::span<const double> u_remote,
-                               std::span<const double> v_remote,
-                               const UpdateParams& params) {
-  RequireRank(u_remote.size());
-  RequireRank(v_remote.size());
-  CompiledRttStep(kernels, params, x, u_remote.data(), v_remote.data(),
-                  MutableU().data(), MutableV().data(), rank());
-}
-
-void DmfsgdNode::AbwProberUpdateWith(const linalg::KernelOps& kernels, double x,
-                                     std::span<const double> v_remote,
-                                     const UpdateParams& params) {
-  RequireRank(v_remote.size());
-  CompiledAbwProberStep(kernels, params, x, v_remote.data(), MutableU().data(),
-                        rank());
-}
-
-void DmfsgdNode::AbwTargetUpdateWith(const linalg::KernelOps& kernels, double x,
-                                     std::span<const double> u_remote,
-                                     const UpdateParams& params) {
-  RequireRank(u_remote.size());
-  CompiledAbwTargetStep(kernels, params, x, u_remote.data(), MutableV().data(),
-                        rank());
 }
 
 void DmfsgdNode::GradientStepU(double g, std::span<const double> v_remote,

@@ -31,10 +31,6 @@ namespace dmfsgd::common {
 class Rng;
 }
 
-namespace dmfsgd::linalg {
-struct KernelOps;
-}
-
 namespace dmfsgd::core {
 
 /// SGD hyper-parameters shared by all update rules.
@@ -141,29 +137,6 @@ class DmfsgdNode {
   /// carried u_i.  Applies eq. 13 to v_j.
   void AbwTargetUpdate(double x, std::span<const double> u_remote,
                        const UpdateParams& params);
-
-  // -- compiled runs (DESIGN.md §14) ---------------------------------------
-  // The *With entry points are the named updates above dispatched through a
-  // caller-held kernel table: same expressions, same evaluation order, same
-  // rank validation, but the table is fetched once per reply run instead of
-  // once per message, and the vector tables get to use their fused kernels.
-  // With the scalar table the results are bit-identical to the named updates.
-
-  /// RttUpdate through `kernels` (the compiled window path).
-  void RttUpdateWith(const linalg::KernelOps& kernels, double x,
-                     std::span<const double> u_remote,
-                     std::span<const double> v_remote,
-                     const UpdateParams& params);
-
-  /// AbwProberUpdate through `kernels`.
-  void AbwProberUpdateWith(const linalg::KernelOps& kernels, double x,
-                           std::span<const double> v_remote,
-                           const UpdateParams& params);
-
-  /// AbwTargetUpdate through `kernels`.
-  void AbwTargetUpdateWith(const linalg::KernelOps& kernels, double x,
-                           std::span<const double> u_remote,
-                           const UpdateParams& params);
 
   // -- mini-batch accumulation (DESIGN.md §13) ------------------------------
   // The Accumulate* entry points compute the same gradient scales as the

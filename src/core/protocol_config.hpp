@@ -28,7 +28,7 @@ struct ProtocolConfig {
   double tau = 0.0;
   std::uint64_t seed = 1;
 
-  // -- batched message plane (DESIGN.md §13/§14) ----------------------------
+  // -- batched message plane (DESIGN.md §13) --------------------------------
 
   /// Exchanges launched per probe slot (per round in the round driver, per
   /// Probe() call at the UDP peer).  Targets are picked independently with
@@ -39,10 +39,6 @@ struct ProtocolConfig {
   /// node's burst through a CoalescingDeliveryChannel, the UDP peer packs a
   /// burst's same-target probes into one datagram.  Order-preserving.
   bool coalesce_delivery = false;
-
-  /// Sparse round compiler (DESIGN.md §14): fused kernel execution with
-  /// per-message update semantics (bit-identical under the scalar table).
-  bool compile_rounds = false;
 };
 
 /// The one validation path for the shared knobs; every embedding config's

@@ -1,14 +1,14 @@
 // The sparse round compiler (DESIGN.md §14).
 //
-// A probing round — or an async conservative window — is a sparse triple
-// list: (prober i, target j, measured x).  Instead of reacting to one
-// protocol message at a time (variant dispatch, two heap-allocated
-// coordinate copies per reply), the compiled path *gathers* the round's
-// exchanges first (consuming the RNG streams in exactly the order the
-// per-message path would), sorts them into row-major COO — grouped by the
-// updated factor row, stable by original message order — and then
-// *executes* the whole gradient pass as one fused sweep over contiguous
-// CoordinateStore rows through a kernel table fetched once per sweep.
+// A probing round is a sparse triple list: (prober i, target j, measured
+// x).  Instead of reacting to one protocol message at a time (variant
+// dispatch, two heap-allocated coordinate copies per reply), the compiled
+// path *gathers* the round's exchanges first (consuming the RNG streams in
+// exactly the order the per-message path would), sorts them into row-major
+// COO — grouped by the updated factor row, stable by original message
+// order — and then *executes* the whole gradient pass as one fused sweep
+// over contiguous CoordinateStore rows through a kernel table fetched once
+// per sweep.
 //
 // The ordering invariant that makes the deferred execution bit-identical
 // to the per-message round (given the same kernel table):

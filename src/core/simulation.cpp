@@ -72,13 +72,6 @@ void DmfsgdSimulation::RunRoundsParallel(std::size_t rounds,
   }
 }
 
-void DmfsgdSimulation::RunRoundsCompiled(std::size_t rounds) {
-  const linalg::KernelOps& kernels = linalg::ActiveKernels();
-  for (std::size_t round = 0; round < rounds; ++round) {
-    engine_.CompiledRoundSweep(kernels);  // includes the churn sweep
-  }
-}
-
 std::size_t DmfsgdSimulation::ReplayTrace(std::size_t begin, std::size_t end) {
   const auto& trace = engine_.dataset().trace;
   if (trace.empty()) {

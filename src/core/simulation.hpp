@@ -52,19 +52,13 @@ class DmfsgdSimulation {
   void RunRoundsPerMessage(std::size_t rounds);
 
   /// Runs `rounds` probing rounds with each round's per-node sweep spread
-  /// over `pool`.  Bit-identical for every pool size — see
+  /// over `pool`.  Bit-identical for every pool size and kernel ISA — see
   /// DeploymentEngine::ParallelRoundSweep for the exact semantics: per-node
   /// RNG streams and start-of-round reply snapshots (Algorithm 1), or the
-  /// target-disjoint phase schedule of DESIGN.md §8 (Algorithm 2).
+  /// row-major target-group schedule of DESIGN.md §14 (Algorithm 2).  A
+  /// different trajectory from RunRounds (per-node streams, not the shared
+  /// one).  Requires probe_burst == 1.
   void RunRoundsParallel(std::size_t rounds, common::ThreadPool& pool);
-
-  /// Runs `rounds` probing rounds through the sparse round compiler
-  /// (DESIGN.md §14) with the *active* kernel table: each round is gathered
-  /// into row-major COO and executed as one fused sweep.  Bit-identical to
-  /// RunRounds when the active table is scalar; vector tables differ only
-  /// in dot accumulation order — see DeploymentEngine::CompiledRoundSweep.
-  /// Bypasses the channel stack.  Requires probe_burst == 1.
-  void RunRoundsCompiled(std::size_t rounds);
 
   /// Replays trace records [begin, end) in time order; returns the number of
   /// records that were usable (dst in src's neighbor set) and applied.

@@ -97,11 +97,7 @@ void CoordinateService::IngestRounds(std::size_t rounds) {
     // waiting queries interleave with long warm-ups.
     const std::unique_lock<std::shared_mutex> lock(state_mutex_);
     const std::size_t before = simulation_.MeasurementCount();
-    if (config_.compile_rounds) {
-      simulation_.RunRoundsCompiled(1);
-    } else {
-      simulation_.RunRounds(1);
-    }
+    simulation_.RunRounds(1);
     // Per-round accounting keeps the staleness bound honest at round
     // granularity.
     AccountIngest(simulation_.MeasurementCount() - before);

@@ -127,9 +127,8 @@ class CoordinateService {
   core::NodeId IngestProbe(core::NodeId prober);
 
   /// Warm-up / background training: full probing rounds (every node probes
-  /// once per round).  Rounds run compiled whenever the config allows it —
-  /// with the scalar table by default, with the active one when
-  /// config.compile_rounds (DESIGN.md §14).  Counts as
+  /// once per round) through DmfsgdSimulation::RunRounds, which runs them
+  /// compiled whenever the config allows it (DESIGN.md §14).  Counts as
   /// NodeCount() ingests per round against the staleness budget and
   /// snapshot interval.
   void IngestRounds(std::size_t rounds);

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "linalg/kernels.hpp"
-
 namespace dmfsgd::transport {
 
 namespace {
@@ -99,10 +97,6 @@ void UdpDmfsgdPeer::HandleBatch(const core::MessageBatch& batch) {
     }
     return;
   }
-  if (config_.compile_rounds) {
-    HandleBatchCompiled(batch);
-    return;
-  }
   // Batched receive (DESIGN.md §13).  Requests are answered as one packed
   // reply batch per prober; replies fold into one mini-batch step — every
   // gradient term evaluated at the pre-batch coordinates, regularization
@@ -163,65 +157,6 @@ void UdpDmfsgdPeer::HandleBatch(const core::MessageBatch& batch) {
     }
   } catch (const std::invalid_argument&) {
     ++rejected_messages_;
-  }
-}
-
-void UdpDmfsgdPeer::HandleBatchCompiled(const core::MessageBatch& batch) {
-  // Compiled envelope handling (DESIGN.md §14): per-message update
-  // semantics — each item applies its own gradient step, so with the
-  // scalar kernel table the node state matches the per-item Handle() loop
-  // bit for bit — but the kernel table is resolved once per envelope and
-  // requests are still answered as packed reply batches (the coalesced
-  // framing stays on the wire).  Because the steps are per-message, a
-  // foreign item (rank mismatch) rejects only itself, exactly like the
-  // per-message path.
-  const linalg::KernelOps& kernels = linalg::ActiveKernels();
-  std::vector<core::MessageBatch> replies;
-  auto reply_batch_for = [&](core::NodeId prober) -> core::MessageBatch& {
-    for (core::MessageBatch& existing : replies) {
-      if (existing.to == prober) {
-        return existing;
-      }
-    }
-    replies.emplace_back();
-    replies.back().to = prober;
-    return replies.back();
-  };
-  for (const core::BatchItem& item : batch.items) {
-    try {
-      std::visit(
-          [&](const auto& typed) {
-            using T = std::decay_t<decltype(typed)>;
-            if constexpr (std::is_same_v<T, core::RttProbeRequest>) {
-              reply_batch_for(typed.prober)
-                  .items.push_back(core::BatchItem{
-                      config_.id, core::RttProbeReply{config_.id, node_.UCopy(),
-                                                      node_.VCopy()}});
-            } else if constexpr (std::is_same_v<T, core::RttProbeReply>) {
-              const double x = measure_(config_.id, typed.target);
-              node_.RttUpdateWith(kernels, x, typed.u, typed.v, config_.params);
-              ++measurements_applied_;
-            } else if constexpr (std::is_same_v<T, core::AbwProbeRequest>) {
-              // Algorithm 2, target side: reply carries the pre-update v_j.
-              const double x = measure_(typed.prober, config_.id);
-              reply_batch_for(typed.prober)
-                  .items.push_back(core::BatchItem{
-                      config_.id,
-                      core::AbwProbeReply{config_.id, x, node_.VCopy()}});
-              node_.AbwTargetUpdateWith(kernels, x, typed.u, config_.params);
-              ++measurements_applied_;
-            } else {
-              node_.AbwProberUpdateWith(kernels, typed.measurement, typed.v,
-                                        config_.params);
-            }
-          },
-          item.message);
-    } catch (const std::invalid_argument&) {
-      ++rejected_messages_;
-    }
-  }
-  for (core::MessageBatch& reply : replies) {
-    channel_.SendBatch(std::move(reply));
   }
 }
 

@@ -34,9 +34,9 @@ using MeasurementFn =
     std::function<double(core::NodeId prober, core::NodeId target)>;
 
 /// The UDP peer's config: the shared protocol knobs (rank, η/λ/loss, τ,
-/// seed, probe_burst, coalesce_delivery, compile_rounds — see
-/// core/protocol_config.hpp; validated by the one shared
-/// ValidateProtocolConfig) plus the node-local knobs below.
+/// seed, probe_burst, coalesce_delivery — see core/protocol_config.hpp;
+/// validated by the one shared ValidateProtocolConfig) plus the node-local
+/// knobs below.
 ///
 /// Peer semantics of the inherited knobs: τ is carried in ABW probe
 /// requests (the probing rate); probe_burst is the probes launched per
@@ -45,11 +45,7 @@ using MeasurementFn =
 /// same path); coalesce_delivery packs a burst's same-target probes into
 /// one datagram, answers a request batch with one packed reply batch, and
 /// folds a received reply batch into a single mini-batch gradient step
-/// (DESIGN.md §13); compile_rounds runs a packed envelope (which needs
-/// coalesce framing to exist on the wire at all) through one hoisted
-/// kernel table with per-message update semantics — the UDP twin of the
-/// engine's window compile, selected *instead of* the mini-batch fold
-/// (DESIGN.md §14).
+/// (DESIGN.md §13).
 struct UdpPeerConfig : core::ProtocolConfig {
   /// A standalone peer defaults τ to 1 (a deployment overrides it); the
   /// simulators inherit ProtocolConfig's unset 0 and force callers to pick.
@@ -105,7 +101,6 @@ class UdpDmfsgdPeer {
 
  private:
   void HandleBatch(const core::MessageBatch& batch);
-  void HandleBatchCompiled(const core::MessageBatch& batch);
   void Handle(core::NodeId from, const core::ProtocolMessage& message);
 
   UdpPeerConfig config_;

@@ -67,7 +67,7 @@ std::unique_ptr<DmfsgdSimulation> RunDriver(const Dataset& dataset,
       break;
     }
     case Driver::kCompiled:
-      simulation->RunRoundsCompiled(rounds);
+      simulation->RunRounds(rounds);
       break;
   }
   return simulation;
@@ -93,9 +93,6 @@ TEST(DriftTracking, NeverPerturbsTraining) {
     config.churn_rate = 0.01;
     for (const Driver driver :
          {Driver::kPerMessage, Driver::kParallel, Driver::kCompiled}) {
-      if (driver == Driver::kCompiled) {
-        config.churn_rate = 0.0;  // compiled sweeps take the no-churn path
-      }
       const auto tracked = RunDriver(dataset, config, driver, 40, true);
       const auto untracked = RunDriver(dataset, config, driver, 40, false);
       ExpectBitIdentical(*tracked, *untracked);
@@ -127,7 +124,7 @@ TEST(DriftTracking, DirtySetCoversEveryChangedRow) {
           break;
         }
         case Driver::kCompiled:
-          simulation->RunRoundsCompiled(15);
+          simulation->RunRounds(15);
           break;
       }
 

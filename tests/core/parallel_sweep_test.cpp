@@ -1,24 +1,32 @@
 // Determinism and semantics of the parallel deployment sweep.
 //
 // The load-bearing property: RunRoundsParallel produces bit-identical
-// coordinates (and counters) for every pool size, because each node's round
-// work is a pure function of the start-of-round snapshot and its private
-// RNG stream.  Pinned across every engine feature that could break it —
-// message loss, churn, each probe strategy, and both exchange algorithms
-// (Algorithm 1's flat sweep and Algorithm 2's target-sharded phases).
+// coordinates (and counters) for every pool size and every active kernel
+// ISA, because each node's round work is a pure function of the
+// start-of-round snapshot (Algorithm 1) or its target group's ascending
+// prober order (Algorithm 2) plus its private RNG stream, and every update
+// runs through the scalar kernel table.  Pinned across every engine feature
+// that could break it — message loss, churn, each probe strategy, and both
+// exchange algorithms — and against goldens recorded from the per-message
+// parallel sweep this one replaced.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
-#include <set>
-#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/simulation.hpp"
 #include "datasets/hps3.hpp"
 #include "datasets/meridian.hpp"
 #include "eval/roc.hpp"
 #include "eval/scored_pairs.hpp"
+#include "linalg/kernels.hpp"
+#include "linalg/matrix.hpp"
 
 namespace dmfsgd::core {
 namespace {
@@ -125,7 +133,7 @@ TEST(ParallelSweep, LearnsLikeTheSequentialDriver) {
 }
 
 // ------------------------------------------------------------------------
-// Algorithm 2 (target-measured metrics): the target-sharded phase schedule.
+// Algorithm 2 (target-measured metrics): the row-major target-group schedule.
 
 TEST(ParallelSweepAlg2, BitIdenticalAcrossPoolSizes) {
   const Dataset dataset = SmallAbw();
@@ -194,71 +202,181 @@ TEST(ParallelSweepAlg2, LearnsLikeTheSequentialDriver) {
 }
 
 // ------------------------------------------------------------------------
-// The coloring pass itself.
+// Goldens: FNV-1a 64 over the U then V bytes, plus the three counters,
+// recorded from the per-message parallel sweep (DmfsgdNode updates, the
+// phase schedule for Algorithm 2) before the compiled sweep replaced it.
+// The datasets draw only uniforms and square roots and the losses are
+// smooth hinge / L2, so no libm transcendental enters the pinned
+// trajectory — while both losses keep a gradient that moves with every
+// low bit of the dots (a plain hinge's does not), so a sweep that followed
+// a vector table would miss the goldens.
 
-TEST(GreedyTargetPhases, EmptyInputYieldsEmptySchedule) {
-  EXPECT_TRUE(GreedyTargetPhases({}, {}).empty());
-}
-
-TEST(GreedyTargetPhases, SinglePairGetsPhaseZero) {
-  const std::vector<NodeId> targets{7};
-  const std::vector<unsigned char> active{1};
-  const auto phases = GreedyTargetPhases(targets, active);
-  ASSERT_EQ(phases.size(), 1u);
-  EXPECT_EQ(phases[0], (std::vector<std::uint32_t>{0}));
-}
-
-TEST(GreedyTargetPhases, AllSameTargetSerializesFully) {
-  // n pairs aimed at one node cannot overlap at all: n singleton phases, in
-  // ascending prober order.
-  const std::vector<NodeId> targets(5, 9);
-  const std::vector<unsigned char> active(5, 1);
-  const auto phases = GreedyTargetPhases(targets, active);
-  ASSERT_EQ(phases.size(), 5u);
-  for (std::uint32_t p = 0; p < 5; ++p) {
-    EXPECT_EQ(phases[p], (std::vector<std::uint32_t>{p}));
+/// Symmetric RTT: 1 + Euclidean distance between uniform points in a plane.
+Dataset PlaneRtt(std::size_t n, std::uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<double> x(n);
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = rng.Uniform(0.0, 100.0);
+    y[i] = rng.Uniform(0.0, 100.0);
   }
-}
-
-TEST(GreedyTargetPhases, InactivePairsAreExcluded) {
-  const std::vector<NodeId> targets{3, 3, 3};
-  const std::vector<unsigned char> active{1, 0, 1};
-  const auto phases = GreedyTargetPhases(targets, active);
-  ASSERT_EQ(phases.size(), 2u);
-  EXPECT_EQ(phases[0], (std::vector<std::uint32_t>{0}));
-  EXPECT_EQ(phases[1], (std::vector<std::uint32_t>{2}));
-}
-
-TEST(GreedyTargetPhases, PhasesAreTargetDisjointAndCoverEveryActivePair) {
-  common::Rng rng(17);
-  std::vector<NodeId> targets(500);
-  std::vector<unsigned char> active(500);
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    targets[i] = static_cast<NodeId>(rng.UniformInt(std::uint64_t{40}));
-    active[i] = rng.Bernoulli(0.9) ? 1 : 0;
-  }
-  const auto phases = GreedyTargetPhases(targets, active);
-  std::set<std::uint32_t> scheduled;
-  for (const auto& phase : phases) {
-    std::set<NodeId> phase_targets;
-    for (const std::uint32_t pair : phase) {
-      EXPECT_TRUE(active[pair]);
-      EXPECT_TRUE(scheduled.insert(pair).second) << "pair scheduled twice";
-      EXPECT_TRUE(phase_targets.insert(targets[pair]).second)
-          << "target repeated within a phase";
+  Dataset dataset;
+  dataset.name = "plane-rtt";
+  dataset.metric = datasets::Metric::kRtt;
+  dataset.ground_truth = linalg::Matrix(n, n, linalg::Matrix::kMissing);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j) {
+        const double dx = x[i] - x[j];
+        const double dy = y[i] - y[j];
+        dataset.ground_truth(i, j) = 1.0 + std::sqrt(dx * dx + dy * dy);
+      }
     }
   }
-  std::size_t active_count = 0;
-  for (const unsigned char a : active) {
-    active_count += a;
-  }
-  EXPECT_EQ(scheduled.size(), active_count);
+  return dataset;
 }
 
-TEST(GreedyTargetPhases, RejectsMismatchedLengths) {
-  const std::vector<NodeId> targets{1, 2};
-  const std::vector<unsigned char> active{1};
-  EXPECT_THROW(GreedyTargetPhases(targets, active), std::invalid_argument);
+/// Asymmetric ABW: independent uniform quantities per directed pair.
+Dataset UniformAbw(std::size_t n, std::uint64_t seed) {
+  common::Rng rng(seed);
+  Dataset dataset;
+  dataset.name = "uniform-abw";
+  dataset.metric = datasets::Metric::kAbw;
+  dataset.ground_truth = linalg::Matrix(n, n, linalg::Matrix::kMissing);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j) {
+        dataset.ground_truth(i, j) = rng.Uniform(5.0, 100.0);
+      }
+    }
+  }
+  return dataset;
+}
+
+struct GoldenCase {
+  const char* name;
+  bool abw;
+  std::size_t nodes;
+  std::size_t neighbors;
+  std::size_t rounds;
+  double message_loss;
+  double churn_rate;
+  ProbeStrategy strategy;
+  PredictionMode mode;
+  std::uint64_t uv_hash;
+  std::size_t measurements;
+  std::size_t dropped_legs;
+  std::size_t churns;
+};
+
+constexpr ProbeStrategy kUniform = ProbeStrategy::kUniformRandom;
+constexpr ProbeStrategy kRoundRobin = ProbeStrategy::kRoundRobin;
+constexpr ProbeStrategy kLossDriven = ProbeStrategy::kLossDriven;
+constexpr PredictionMode kClass = PredictionMode::kClassification;
+constexpr PredictionMode kRegress = PredictionMode::kRegression;
+
+// name, abw, n, k, rounds, loss, churn, strategy, mode, golden...
+constexpr GoldenCase kGoldens[] = {
+    {"rtt-plain", false, 96, 12, 40, 0.0, 0.0, kUniform, kClass,
+     0xae2dc188a0a1d092ULL, 3840, 0, 0},
+    {"rtt-loss-churn", false, 96, 12, 40, 0.2, 0.02, kUniform, kClass,
+     0xd90c0ee55504ae57ULL, 2426, 1414, 74},
+    {"rtt-round-robin", false, 96, 12, 30, 0.0, 0.0, kRoundRobin, kClass,
+     0xb1da828431fa923aULL, 2880, 0, 0},
+    {"rtt-loss-driven", false, 96, 12, 30, 0.1, 0.0, kLossDriven, kClass,
+     0x6759e6f08d1a7f55ULL, 2312, 568, 0},
+    {"rtt-regression", false, 96, 12, 30, 0.0, 0.0, kUniform, kRegress,
+     0x71c0eb91b146076cULL, 2880, 0, 0},
+    {"rtt-small-n", false, 7, 3, 50, 0.1, 0.05, kUniform, kClass,
+     0xd979292bb7f50a7eULL, 284, 66, 16},
+    {"abw-plain", true, 96, 12, 40, 0.0, 0.0, kUniform, kClass,
+     0x1298ed39af0f52f7ULL, 3840, 0, 0},
+    {"abw-loss-churn", true, 96, 12, 40, 0.2, 0.02, kUniform, kClass,
+     0xe7c50ef1edbe0d49ULL, 3029, 1414, 74},
+    {"abw-round-robin", true, 96, 12, 30, 0.0, 0.0, kRoundRobin, kClass,
+     0xb73be202bc2268ceULL, 2880, 0, 0},
+    {"abw-loss-driven", true, 96, 12, 30, 0.1, 0.0, kLossDriven, kClass,
+     0x820cdc66ff13e1b3ULL, 2583, 568, 0},
+    {"abw-regression", true, 96, 12, 30, 0.0, 0.0, kUniform, kRegress,
+     0x850090a4326ff511ULL, 2880, 0, 0},
+    {"abw-small-n", true, 7, 3, 50, 0.1, 0.05, kUniform, kClass,
+     0x76a43c3e64b0e5abULL, 309, 66, 16},
+};
+
+std::uint64_t Fnv1a64(std::uint64_t hash, const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t b = 0; b < bytes; ++b) {
+    hash ^= p[b];
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// Sets the active kernel table for a scope and restores the previous one.
+class ActiveIsaGuard {
+ public:
+  explicit ActiveIsaGuard(linalg::KernelIsa isa)
+      : saved_(linalg::ActiveKernelIsa()) {
+    linalg::SetKernelIsa(isa);
+  }
+  ~ActiveIsaGuard() { linalg::SetKernelIsa(saved_); }
+  ActiveIsaGuard(const ActiveIsaGuard&) = delete;
+  ActiveIsaGuard& operator=(const ActiveIsaGuard&) = delete;
+
+ private:
+  linalg::KernelIsa saved_;
+};
+
+void ExpectGoldensHold(const char* isa_name) {
+  for (const GoldenCase& golden : kGoldens) {
+    const Dataset dataset =
+        golden.abw ? UniformAbw(golden.nodes, 23) : PlaneRtt(golden.nodes, 19);
+    SimulationConfig config;
+    config.rank = 10;
+    config.neighbor_count = golden.neighbors;
+    config.tau = dataset.MedianValue();
+    config.seed = 5;
+    config.mode = golden.mode;
+    config.params.loss =
+        golden.mode == kRegress ? LossKind::kL2 : LossKind::kSmoothHinge;
+    config.message_loss = golden.message_loss;
+    config.churn_rate = golden.churn_rate;
+    config.strategy = golden.strategy;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      const auto simulation =
+          RunParallel(dataset, config, golden.rounds, threads);
+      const auto u = simulation->engine().store().UData();
+      const auto v = simulation->engine().store().VData();
+      std::uint64_t hash = 0xcbf29ce484222325ULL;
+      hash = Fnv1a64(hash, u.data(), u.size_bytes());
+      hash = Fnv1a64(hash, v.data(), v.size_bytes());
+      const std::string what = std::string(golden.name) + ", " + isa_name +
+                               ", threads " + std::to_string(threads);
+      EXPECT_EQ(hash, golden.uv_hash) << what;
+      EXPECT_EQ(simulation->MeasurementCount(), golden.measurements) << what;
+      EXPECT_EQ(simulation->DroppedLegs(), golden.dropped_legs) << what;
+      EXPECT_EQ(simulation->ChurnCount(), golden.churns) << what;
+    }
+  }
+}
+
+TEST(ParallelSweepGolden, ScalarTableMatchesThePerMessageSweep) {
+  const ActiveIsaGuard scalar(linalg::KernelIsa::kScalar);
+  ExpectGoldensHold("scalar");
+}
+
+TEST(ParallelSweepGolden, VectorTableActiveStillMatches) {
+  // The sweep must not follow the active table: a vector table reduces the
+  // dots in a different order and would move the low bits.
+  for (const linalg::KernelIsa isa :
+       {linalg::KernelIsa::kAvx512, linalg::KernelIsa::kAvx2}) {
+    if (linalg::KernelIsaSupported(isa)) {
+      const ActiveIsaGuard vector(isa);
+      ExpectGoldensHold(linalg::KernelIsaName(isa));
+      return;
+    }
+  }
+  GTEST_SKIP() << "no vector kernel table compiled+supported on this host";
 }
 
 }  // namespace

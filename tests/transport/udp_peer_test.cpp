@@ -147,7 +147,7 @@ TEST(UdpPeer, SwarmLearnsOverRealSockets) {
 /// packed request/reply datagrams, mini-batch folds at the receivers.
 std::vector<std::unique_ptr<UdpDmfsgdPeer>> MakeBatchedSwarm(
     const Dataset& dataset, double tau, std::size_t k, std::size_t burst,
-    bool coalesce, bool compile_rounds = false) {
+    bool coalesce) {
   const bool symmetric = dataset.metric == datasets::Metric::kRtt;
   // The peer copies the callback; `dataset` must outlive the swarm (it does
   // — both live in the test scope).
@@ -165,7 +165,6 @@ std::vector<std::unique_ptr<UdpDmfsgdPeer>> MakeBatchedSwarm(
     config.seed = 100 + i;
     config.probe_burst = burst;
     config.coalesce_delivery = coalesce;
-    config.compile_rounds = compile_rounds;
     peers.push_back(std::make_unique<UdpDmfsgdPeer>(config, measure));
   }
   common::Rng rng(7);
@@ -243,41 +242,6 @@ TEST(UdpPeer, AbwBatchedSwarmFoldsAtBothEnds) {
     EXPECT_EQ(peer->MalformedDatagrams(), 0u);
   }
   EXPECT_EQ(applied, dataset.NodeCount() * 60 * 4);
-}
-
-TEST(UdpPeer, CompiledEnvelopesKeepPerMessageSemantics) {
-  // compile_rounds on the receive path (DESIGN.md §14): packed envelopes
-  // stay packed on the wire, but each item applies its own per-message
-  // gradient step through one hoisted kernel table — so the measurement
-  // accounting matches the per-message budget exactly, nothing is
-  // rejected, and the swarm still learns.  Both algorithms: RTT folds at
-  // the prober, ABW at the target then the prober.
-  for (const bool rtt : {true, false}) {
-    const Dataset dataset = rtt ? SmallRtt() : SmallAbw();
-    const double tau = dataset.MedianValue();
-    auto peers = MakeBatchedSwarm(dataset, tau, 8, 4, /*coalesce=*/true,
-                                  /*compile_rounds=*/true);
-    RunRounds(peers, 60);
-    std::size_t applied = 0;
-    for (const auto& peer : peers) {
-      applied += peer->MeasurementsApplied();
-      EXPECT_EQ(peer->MalformedDatagrams(), 0u);
-    }
-    EXPECT_EQ(applied, dataset.NodeCount() * 60 * 4);
-    std::vector<double> scores;
-    std::vector<int> labels;
-    for (std::size_t i = 0; i < peers.size(); ++i) {
-      for (std::size_t j = 0; j < peers.size(); ++j) {
-        if (i == j) {
-          continue;
-        }
-        scores.push_back(peers[i]->Predict(peers[j]->node().v()));
-        labels.push_back(
-            datasets::ClassOf(dataset.metric, dataset.Quantity(i, j), tau));
-      }
-    }
-    EXPECT_GT(eval::Auc(scores, labels), 0.85) << (rtt ? "rtt" : "abw");
-  }
 }
 
 TEST(UdpPeer, MalformedDatagramsAreCountedNotFatal) {
