@@ -22,9 +22,12 @@
 //                      round compiler, DESIGN.md §14) against the
 //                      per-message drain at n = 8192 (dense matrix) and
 //                      n = 65536 (procedural delay-space ground truth);
-//                      compiled-seq/n65536 and parallel-hw/n65536 time
-//                      RunRounds against RunRoundsParallel at hw threads on
-//                      the procedural n = 65536 tier with k = 32.
+//                      compiled-hw/n65536 and parallel-hw/n65536 time
+//                      RunRounds (on the simulation's hw-thread pool)
+//                      against RunRoundsParallel at hw threads on the
+//                      procedural n = 65536 tier with k = 32, and
+//                      compiled-1t/n65536 times RunRounds on a 1-thread
+//                      pool.
 //   ann_query/*        k-NN peer queries over live-drifting coordinates
 //                      (DESIGN.md §16, §18): the drift-tolerant PeerIndex
 //                      (fed by the engine dirty set) vs the brute-force
@@ -62,10 +65,14 @@
 //                               sequential rounds at n = 65536 (> 1; the
 //                               _n8192/_n65536 scalars record both tiers)
 //   round_parallel_vs_compiled_n65536  RunRoundsParallel at hw threads vs
-//                               RunRounds (the compiled sequential sweep)
+//                               RunRounds (the compiled sweep, hw threads)
 //                               at n = 65536, k = 32 — the parallel
 //                               sweep's reason to exist (the multicore CI
 //                               leg pins > 1 at hw_threads > 1)
+//   compiled_round_parallel_scaling_n65536  RunRounds on its hw-thread
+//                               pool vs on a 1-thread pool, same tier (the
+//                               windowed schedule of DESIGN.md §14; the
+//                               multicore CI leg pins > 1)
 //   ann_recall_at_10            mean recall@10 of the updated index against
 //                               the fresh-coordinate oracle at n = 65536
 //                               (CI pins >= 0.9; the _n8192 scalar records
@@ -992,10 +999,11 @@ int main(int argc, char** argv) {
   }
   const double coo_speedup = coo_speedup_65536;
 
-  // The parallel sweep against the compiled sequential sweep at the
-  // end-to-end benchmark's scale (n = 65536, k = 32): below it, batching
-  // beats threads; here the threads must win.
+  // RunRounds at the end-to-end benchmark's scale (n = 65536, k = 32): on
+  // its hw-thread pool against a 1-thread pool (the windowed schedule's
+  // scaling, same bits), and against the parallel sweep.
   double round_parallel_vs_compiled = 0.0;
+  double compiled_round_parallel_scaling = 0.0;
   {
     datasets::EuclideanRttConfig euclid;
     euclid.node_count = 65536;
@@ -1004,17 +1012,25 @@ int main(int argc, char** argv) {
     core::SimulationConfig config = RoundConfigFor(dataset);
     config.neighbor_count = 32;
     const std::size_t items = coo_rounds * dataset.NodeCount();
-    core::DmfsgdSimulation sequential(dataset, config);
+    core::DmfsgdSimulation one_thread(dataset, config);
+    common::ThreadPool single(1);
+    const auto compiled_1t = bench::MeasureMinOfK(
+        "round_throughput/compiled-1t/n65536", items, /*warmup=*/1, repeats,
+        [&] { one_thread.RunRounds(coo_rounds, single); });
+    core::DmfsgdSimulation hw_threads(dataset, config);
     const auto compiled = bench::MeasureMinOfK(
-        "round_throughput/compiled-seq/n65536", items, /*warmup=*/1, repeats,
-        [&] { sequential.RunRounds(coo_rounds); });
+        "round_throughput/compiled-hw/n65536", items, /*warmup=*/1, repeats,
+        [&] { hw_threads.RunRounds(coo_rounds); });
     core::DmfsgdSimulation parallel(dataset, config);
     common::ThreadPool pool(hw);
     const auto swept = bench::MeasureMinOfK(
         "round_throughput/parallel-hw/n65536", items, /*warmup=*/1, repeats,
         [&] { parallel.RunRoundsParallel(coo_rounds, pool); });
+    entries.push_back(compiled_1t);
     entries.push_back(compiled);
     entries.push_back(swept);
+    compiled_round_parallel_scaling =
+        compiled.ops_per_sec / compiled_1t.ops_per_sec;
     round_parallel_vs_compiled = swept.ops_per_sec / compiled.ops_per_sec;
   }
 
@@ -1251,6 +1267,8 @@ int main(int argc, char** argv) {
          {"coo_round_speedup_n8192", coo_speedup_8192},
          {"coo_round_speedup_n65536", coo_speedup_65536},
          {"round_parallel_vs_compiled_n65536", round_parallel_vs_compiled},
+         {"compiled_round_parallel_scaling_n65536",
+          compiled_round_parallel_scaling},
          {"ann_recall_at_10", ann_recall_65536},
          {"ann_recall_at_10_n8192", ann_recall_8192},
          {"ann_qps_speedup", ann_speedup_65536},
@@ -1295,6 +1313,7 @@ int main(int argc, char** argv) {
       "round_parallel_scaling: %.3fx  "
       "coo_round_speedup: %.3fx (n8192 %.3fx, n65536 %.3fx)  "
       "round_parallel_vs_compiled_n65536: %.3fx  "
+      "compiled_round_parallel_scaling_n65536: %.3fx  "
       "ann_recall_at_10: %.3f (n8192 %.3f, n1m %.3f)  "
       "ann_qps_speedup: %.3fx (n8192 %.3fx, n1m %.3fx)  "
       "ann_index_build_seconds_n1m: %.1f  "
@@ -1311,6 +1330,7 @@ int main(int argc, char** argv) {
       "-> %s\n",
       sgd_speedup, matrix_scaling, hw, round_scaling, coo_speedup,
       coo_speedup_8192, coo_speedup_65536, round_parallel_vs_compiled,
+      compiled_round_parallel_scaling,
       ann_recall_65536, ann_recall_8192,
       ann_recall_1m, ann_speedup_65536, ann_speedup_8192, ann_speedup_1m,
       ann_build_seconds_1m, ann_build_scaling, svc_query_parallel_scaling, svc_p50_65536,

@@ -28,6 +28,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -113,9 +114,7 @@ void PrintTransportSummary(const char* who, const ChannelStack& stack,
   std::cout << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   using namespace dmfsgd;
 
   const common::Flags flags(argc, argv,
@@ -285,6 +284,19 @@ int main(int argc, char** argv) {
     if (!registry_path.empty()) {
       std::remove(registry_path.c_str());
     }
+    return 1;
+  }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad flag (or any failed step) reports and exits 1, like
+  // dmfsgd_tool, instead of escaping main.
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
     return 1;
   }
 }

@@ -9,12 +9,15 @@
 // overlay runs.
 //
 // Usage: overlay_monitoring [--nodes=N] [--records=R] [--seed=S]
+#include <exception>
 #include <iostream>
 
 #include "common/table.hpp"
 #include "dmfsgd.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(int argc, char** argv) {
   using namespace dmfsgd;
 
   const common::Flags flags(argc, argv, {"nodes", "records", "seed"});
@@ -75,4 +78,17 @@ int main(int argc, char** argv) {
   std::cout << "\nusable records are those observed toward a node's k=10"
                " neighbors (passive probing, uneven coverage)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad flag (or any failed step) reports and exits 1, like
+  // dmfsgd_tool, instead of escaping main.
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 }

@@ -13,6 +13,7 @@
 //
 // Usage: peer_selection_demo [--nodes=N] [--peers=P] [--seed=S]
 //                            [--index] [--ef=N]
+#include <exception>
 #include <iostream>
 
 #include "common/flags.hpp"
@@ -21,7 +22,9 @@
 #include "datasets/meridian.hpp"
 #include "eval/peer_selection.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(int argc, char** argv) {
   using namespace dmfsgd;
 
   const common::Flags flags(argc, argv,
@@ -93,4 +96,17 @@ int main(int argc, char** argv) {
                " peer (1.0 = optimal)\nunsatisfied: picked a bad peer while a"
                " good one existed in the candidate set\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad flag (or any failed step) reports and exits 1, like
+  // dmfsgd_tool, instead of escaping main.
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 }

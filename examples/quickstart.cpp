@@ -9,11 +9,14 @@
 // This example deliberately includes only the public umbrella header.
 //
 // Usage: quickstart [--nodes=N] [--rounds=R] [--seed=S] [--rank=r] ...
+#include <exception>
 #include <iostream>
 
 #include "dmfsgd.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(int argc, char** argv) {
   using namespace dmfsgd;
 
   const common::Flags flags(argc, argv,
@@ -72,4 +75,17 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad flag (or any failed step) reports and exits 1, like
+  // dmfsgd_tool, instead of escaping main.
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 }

@@ -9,6 +9,7 @@
 // admitted based on the service's *predicted* classes (QueryLevel > 0).
 //
 // Usage: streaming_admission [--hosts=N] [--sd=MBPS] [--hd=MBPS] [--seed=S]
+#include <exception>
 #include <iostream>
 
 #include "common/table.hpp"
@@ -51,9 +52,7 @@ void RunTier(const dmfsgd::datasets::Dataset& dataset, const char* tier,
                 common::FormatFixed((1.0 - confusion.GoodRecall()) * 100.0, 1)});
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   using namespace dmfsgd;
 
   const common::Flags flags(argc, argv, {"hosts", "sd", "hd", "seed"});
@@ -85,4 +84,17 @@ int main(int argc, char** argv) {
                " stutter)\nwasted: good paths predicted bad (capacity left"
                " unused)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad flag (or any failed step) reports and exits 1, like
+  // dmfsgd_tool, instead of escaping main.
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 }

@@ -17,6 +17,7 @@
 // Usage: udp_swarm [--nodes=N] [--neighbors=K] [--rounds=R] plus the shared
 // protocol flags (common::ProtocolFlagNames): --rank --eta --lambda --loss
 // --tau --seed --batch-size --coalesce
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -27,7 +28,9 @@
 #include "eval/roc.hpp"
 #include "transport/udp_peer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(int argc, char** argv) {
   using namespace dmfsgd;
 
   const common::Flags flags(
@@ -124,4 +127,17 @@ int main(int argc, char** argv) {
   }
   std::cout << "AUC over all pairs: " << eval::Auc(scores, labels) << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad flag (or any failed step) reports and exits 1, like
+  // dmfsgd_tool, instead of escaping main.
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 }

@@ -1,7 +1,7 @@
 // Deterministic fork-join worker pool for the deployment sweeps.
 //
-// The repo's parallel hot paths (the per-round node sweep, the O(n²r)
-// full-matrix evaluation) all have the same shape: a range of indices whose
+// The repo's parallel hot paths (the per-round node sweeps, the O(n²r)
+// full-matrix evaluation) mostly have the same shape: a range of indices whose
 // per-index work touches only index-owned state.  ParallelFor splits the
 // range into `thread_count()` fixed contiguous blocks — block boundaries
 // depend only on the range and the pool size, never on scheduling — and runs
@@ -15,7 +15,8 @@
 // ## Determinism contract for callers (DESIGN.md §6, §9, §14)
 //
 // The pool guarantees *where* indices run, never *when*; bit-identical
-// results additionally require that the submitted fn:
+// results additionally require one of two schedules.  Either the
+// submitted fn:
 //
 //  * writes only index-owned state (rows, counters, RNG streams belonging
 //    to the index being processed) — the engine's sweeps pair each node
@@ -26,8 +27,16 @@
 //  * performs no cross-index reduction inside the loop; reduce after the
 //    join, in index order (or with order-insensitive integer sums).
 //
-// Violating any of these silently reintroduces schedule dependence — the
-// determinism tests catch it only for the paths they pin.
+// Or the work is serially equivalent over conflict-free components: the
+// indices are steps with a fixed serial order, steps that touch a common
+// row form one component, the block that owns a component runs all of its
+// steps in serial order, and every row a component reads but does not own
+// is frozen for the call.  Components then share no row, so any
+// interleaving equals the serial order (the compiled round's windowed
+// schedule, DESIGN.md §14).  The same no-reduction rule applies.
+//
+// Violating either schedule silently reintroduces schedule dependence —
+// the determinism tests catch it only for the paths they pin.
 #pragma once
 
 #include <condition_variable>

@@ -15,6 +15,13 @@ namespace {
 using datasets::Dataset;
 using datasets::Metric;
 
+/// Edges per conflict window of the Algorithm-1 execute (DESIGN.md §14).
+/// Each window costs one fork-join.  Measured at n = 65536, k = 32 on a
+/// 4-vCPU host: 4096-16384 ran within ~10% of each other on an idle host
+/// (1024 and 32768 were slower), and with other processes competing for
+/// the cores 16384 held up best.
+constexpr std::size_t kRttWindow = 16384;
+
 /// Throwing pass-through so the config is validated before any member that
 /// depends on it (the store sizes itself off config.rank) is built.  The
 /// shared protocol knobs go through the one ValidateProtocolConfig; only the
@@ -241,10 +248,11 @@ common::Rng& DeploymentEngine::NodeRng(NodeId i) {
   return per_node_rng_[i];
 }
 
-void DeploymentEngine::CompiledRoundSweep(const linalg::KernelOps& kernels) {
+void DeploymentEngine::CompiledRoundSweep(common::ThreadPool& pool,
+                                          const linalg::KernelOps& kernels) {
   if (config_.probe_burst > 1) {
     // The compiled gather models one exchange per node per round, like the
-    // parallel sweep; batched rounds run through the sequential driver.
+    // parallel sweep; batched rounds run through the per-message driver.
     throw std::logic_error(
         "DeploymentEngine::CompiledRoundSweep: probe_burst > 1 is not "
         "supported on the compiled round path");
@@ -275,65 +283,99 @@ void DeploymentEngine::CompiledRoundSweep(const linalg::KernelOps& kernels) {
   }
 
   if (abw_) {
-    ExecuteCompiledAbwRound(kernels);
+    ExecuteTargetGroups(pool, kernels);
   } else {
-    ExecuteCompiledRttRound(kernels);
+    ExecuteCompiledRttRound(pool, kernels);
   }
 }
 
 void DeploymentEngine::ExecuteCompiledRttRound(
-    const linalg::KernelOps& kernels) {
-  // Original gather order *is* ascending-prober row-major order (one edge
-  // per prober), and an Algorithm-1 exchange writes only the prober's own
-  // rows, so executing the edges in order against the live store replays
-  // every mid-round coordinate read the sequential channel drain performs —
-  // the remote rows here are live for the same reason the per-message
-  // reply's copies were fresh at reply time.
+    common::ThreadPool& pool, const linalg::KernelOps& kernels) {
+  // Original gather order *is* ascending-prober order (one edge per
+  // prober), and an Algorithm-1 exchange writes only the prober's own rows
+  // while reading its target's, live: the per-message drain's reply copies
+  // were fresh at reply time.  The sequential replay of the edges is the
+  // reference; the windowed schedule reproduces it bit for bit (serial
+  // equivalence, DESIGN.md §14).  Inside a window, each conflict component
+  // runs in ascending edge order on the block owning its root (its first
+  // edge); a component's rows are its own, and the rows it reads from
+  // outside the window are final (earlier windows) or untouched (later
+  // ones), so neither the pool size nor the block timing can reach a bit.
+  const std::size_t m = round_coo_.EdgeCount();
+  round_coo_.ComponentsByWindow(nodes_.size(), kRttWindow);
+  const auto& edges = round_coo_.Edges();
   const std::size_t r = config_.rank;
-  for (const RoundEdge& edge : round_coo_.Edges()) {
-    const double x = MeasurementFor(edge.prober, edge.target, std::nullopt);
-    RecordNeighborLoss(edge.prober, edge.target, x, store_.V(edge.target));
-    CompiledRttStep(kernels, config_.params, x, store_.U(edge.target).data(),
-                    store_.V(edge.target).data(), store_.U(edge.prober).data(),
-                    store_.V(edge.prober).data(), r);
-    MarkDirty(edge.prober);
-    ++measurement_count_;
+  for (std::size_t window = 0; window < m; window += kRttWindow) {
+    const std::size_t window_end = std::min(m, window + kRttWindow);
+    pool.ParallelFor(window, window_end, [&](std::size_t lo, std::size_t hi) {
+      // A root never follows its edges, so edges rooted in [lo, hi) all
+      // lie in [lo, window_end).
+      for (std::size_t e = lo; e < window_end; ++e) {
+        const std::uint32_t root = round_coo_.Root(e);
+        if (root < lo || root >= hi) {
+          continue;
+        }
+        const RoundEdge& edge = edges[e];
+        const double x = MeasurementFor(edge.prober, edge.target, std::nullopt);
+        RecordNeighborLoss(edge.prober, edge.target, x, store_.V(edge.target));
+        CompiledRttStep(kernels, config_.params, x, store_.U(edge.target).data(),
+                        store_.V(edge.target).data(),
+                        store_.U(edge.prober).data(),
+                        store_.V(edge.prober).data(), r);
+      }
+    });
   }
+  // Each exchange measured once and wrote its prober's rows.
+  for (const RoundEdge& edge : edges) {
+    MarkDirty(edge.prober);
+  }
+  measurement_count_ += m;
 }
 
-void DeploymentEngine::ExecuteCompiledAbwRound(
-    const linalg::KernelOps& kernels) {
+void DeploymentEngine::ExecuteTargetGroups(common::ThreadPool& pool,
+                                           const linalg::KernelOps& kernels) {
   // Group by updated v row, stable by message order: per target the updates
   // apply in ascending-prober order — the exact per-message sequence — and
   // exchanges aimed at different targets commute because u_i is read and
   // written only by prober i's own exchange (one probe per node per round).
+  // So one ParallelFor over contiguous target-row ranges is data-race-free:
+  // a range exclusively owns v of its target rows and u of their probers.
+  // Within an exchange the target consumes x and the probe's u_i and
+  // updates v_j; the prober consumes the *pre-update* v_j (Algorithm 2
+  // sends before updating).
   const std::size_t n = nodes_.size();
   round_coo_.GroupByTarget(n);
   const std::size_t r = config_.rank;
   const auto& edges = round_coo_.Edges();
-  std::vector<double> v_pre(r);
-  for (NodeId t = 0; t < n; ++t) {
-    for (const std::uint32_t e : round_coo_.Group(t)) {
-      const RoundEdge& edge = edges[e];
-      const double x = MeasurementFor(edge.prober, t, std::nullopt);
-      double* v_row = store_.V(t).data();
-      if (edge.full != 0) {
-        // The reply ships v_j as it stood before the target's update
-        // (Algorithm 2 sends before updating).
-        std::copy(v_row, v_row + r, v_pre.begin());
-      }
-      CompiledAbwTargetStep(kernels, config_.params, x,
-                            store_.U(edge.prober).data(), v_row, r);  // eq. 13
-      MarkDirty(t);
-      ++measurement_count_;
-      if (edge.full != 0) {
-        RecordNeighborLoss(edge.prober, t, x, v_pre);
-        CompiledAbwProberStep(kernels, config_.params, x, v_pre.data(),
-                              store_.U(edge.prober).data(), r);  // eq. 12
-        MarkDirty(edge.prober);
+  pool.ParallelFor(0, n, [&](std::size_t lo, std::size_t hi) {
+    std::vector<double> v_pre(r);
+    for (std::size_t t = lo; t < hi; ++t) {
+      for (const std::uint32_t e : round_coo_.Group(static_cast<NodeId>(t))) {
+        const RoundEdge& edge = edges[e];
+        const double x = MeasurementFor(edge.prober, t, std::nullopt);
+        double* v_row = store_.V(t).data();
+        if (edge.full != 0) {
+          std::copy(v_row, v_row + r, v_pre.begin());
+        }
+        CompiledAbwTargetStep(kernels, config_.params, x,
+                              store_.U(edge.prober).data(), v_row, r);  // eq. 13
+        if (edge.full != 0) {
+          RecordNeighborLoss(edge.prober, static_cast<NodeId>(t), x, v_pre);
+          CompiledAbwProberStep(kernels, config_.params, x, v_pre.data(),
+                                store_.U(edge.prober).data(), r);  // eq. 12
+        }
       }
     }
+  });
+  // The target consumes the measurement even when the reply is lost; only
+  // a full exchange updates the prober.
+  for (const RoundEdge& edge : edges) {
+    MarkDirty(edge.target);
+    if (edge.full != 0) {
+      MarkDirty(edge.prober);
+    }
   }
+  measurement_count_ += edges.size();
 }
 
 namespace {
@@ -439,7 +481,6 @@ void DeploymentEngine::ParallelRoundSweep(common::ThreadPool& pool) {
 
 void DeploymentEngine::ParallelTargetGroupSweep(common::ThreadPool& pool) {
   const std::size_t n = nodes_.size();
-  const std::size_t r = config_.rank;
 
   // 1. Draws: each prober picks its target and rolls both protocol legs from
   // its private stream.  Node-owned state only, so the draws parallelize.
@@ -452,65 +493,24 @@ void DeploymentEngine::ParallelTargetGroupSweep(common::ThreadPool& pool) {
     }
   });
 
-  // 2. Compile: row-major COO over the exchanges that update state (a lost
-  // probe updates nobody), grouped by updated v row, stable by prober order
-  // (probers are gathered ascending, and the grouping sort is stable).
-  // Sequential and deterministic — pool size never enters.
+  // 2. Compile: COO over the exchanges that update state (a lost probe
+  // updates nobody), gathered in ascending prober order.  Sequential and
+  // deterministic — pool size never enters.
   round_coo_.Clear();
+  std::size_t dropped = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (sweep_state_[i] != kExchangeLeg1Lost) {
       round_coo_.Add(static_cast<NodeId>(i), sweep_target_[i],
                      sweep_state_[i] == kExchangeFull);
     }
-  }
-  round_coo_.GroupByTarget(n);
-
-  // 3. One ParallelFor over contiguous target-row ranges: a range
-  // exclusively owns v of its target rows and u of their probers (each
-  // prober appears in exactly one group), so the partition is data-race-
-  // free.  Within a group the updates apply in ascending prober order, each
-  // replaying the sequential exchange: the target consumes x and the probe's
-  // u_i and updates v_j; the prober consumes the *pre-update* v_j.
-  const linalg::KernelOps& scalar =
-      linalg::KernelsFor(linalg::KernelIsa::kScalar);
-  const auto& edges = round_coo_.Edges();
-  pool.ParallelFor(0, n, [&](std::size_t lo, std::size_t hi) {
-    std::vector<double> v_pre(r);
-    for (std::size_t t = lo; t < hi; ++t) {
-      for (const std::uint32_t e : round_coo_.Group(static_cast<NodeId>(t))) {
-        const RoundEdge& edge = edges[e];
-        const double x = MeasurementFor(edge.prober, t, std::nullopt);
-        double* v_row = store_.V(t).data();
-        if (edge.full != 0) {
-          std::copy(v_row, v_row + r, v_pre.begin());
-        }
-        CompiledAbwTargetStep(scalar, config_.params, x,
-                              store_.U(edge.prober).data(), v_row, r);  // eq. 13
-        if (edge.full != 0) {
-          RecordNeighborLoss(edge.prober, static_cast<NodeId>(t), x, v_pre);
-          CompiledAbwProberStep(scalar, config_.params, x, v_pre.data(),
-                                store_.U(edge.prober).data(), r);  // eq. 12
-        }
-      }
-    }
-  });
-
-  // 4. Counters, reduced exactly as the sequential exchanges would have:
-  // the target consumes the measurement even when the reply is lost.
-  std::size_t measured = 0;
-  std::size_t dropped = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sweep_state_[i] != kExchangeLeg1Lost) {
-      ++measured;
-      MarkDirty(sweep_target_[i]);  // the target's v row took eq. 13
-      if (sweep_state_[i] == kExchangeFull) {
-        MarkDirty(i);  // the prober's u row took eq. 12
-      }
-    }
     dropped += sweep_state_[i] != kExchangeFull ? 1 : 0;
   }
-  measurement_count_ += measured;
   dropped_legs_ += dropped;
+
+  // 3. The row-major target-group sweep RunRounds also runs, on the scalar
+  // table; it reduces the measurement counter and drift marks after its
+  // join.
+  ExecuteTargetGroups(pool, linalg::KernelsFor(linalg::KernelIsa::kScalar));
 }
 
 const DmfsgdNode& DeploymentEngine::node(std::size_t i) const {

@@ -31,22 +31,27 @@
 // The engine offers two execution regimes and each one's reproducibility
 // rests on invariants that belong to the *caller* as much as to the engine:
 //
-//  * Sequential (RunRounds / event-driven RunUntil): all randomness flows
+//  * Shared stream (RunRounds / event-driven RunUntil): all randomness flows
 //    through the single engine stream `rng()`; a run is a pure function of
 //    (seed, dataset, channel stack).  Callers must not draw from `rng()`
 //    out of band between protocol steps, or two same-seed runs diverge.
-//  * Parallel (ParallelRoundSweep, sharded event drains): every node draws
-//    from a private decorrelated stream (`NodeRng`), advanced only by that
-//    node's own protocol activity, and every remote coordinate a node
-//    consumes is a snapshot captured at a deterministic point — the start of
-//    the round (Algorithm 1), the exchange's position in its target's
-//    ascending-prober group (Algorithm 2), or the message send time
-//    (sharded async drain).  The round sweeps update through the scalar
-//    kernel table, so results are bit-identical for every thread-pool size
-//    and every active kernel ISA.  Callers must not read or mutate engine
-//    state (coordinates, membership, counters) from outside while a
-//    parallel call is in flight, and must not mix the per-node streams into
-//    sequential paths.
+//    CompiledRoundSweep draws sequentially and then executes the round on
+//    a thread pool in a schedule that is serially equivalent to the
+//    one-exchange-at-a-time round (DESIGN.md §14), so its result does not
+//    depend on the pool size either.
+//  * Per-node streams (ParallelRoundSweep, sharded event drains): every
+//    node draws from a private decorrelated stream (`NodeRng`), advanced
+//    only by that node's own protocol activity, and every remote coordinate
+//    a node consumes is a snapshot captured at a deterministic point — the
+//    start of the round (Algorithm 1), the exchange's position in its
+//    target's ascending-prober group (Algorithm 2), or the message send
+//    time (sharded async drain).
+//
+// The round sweeps update through the scalar kernel table, so results are
+// bit-identical for every thread-pool size and every active kernel ISA.
+// Callers must not read or mutate engine state (coordinates, membership,
+// counters) from outside while a pooled call is in flight, and must not mix
+// the per-node streams into shared-stream paths.
 #pragma once
 
 #include <cstdint>
@@ -93,9 +98,9 @@ enum class ProbeStrategy {
 ///
 /// Driver semantics of the inherited knobs:
 ///  * probe_burst — exchanges per probe slot (per round here, per timer
-///    firing in the async driver).  The parallel round sweep supports
-///    bursts only through the sequential driver (ParallelRoundSweep
-///    rejects probe_burst > 1).
+///    firing in the async driver).  Bursts run only through the
+///    per-message round driver (CompiledRoundSweep and ParallelRoundSweep
+///    reject probe_burst > 1).
 ///  * coalesce_delivery — the round driver flushes each node's burst
 ///    through a CoalescingDeliveryChannel; the async driver merges
 ///    same-destination same-arrival-time messages into one event.  With
@@ -163,8 +168,8 @@ class DeploymentEngine {
   /// Picks the neighbor node i probes next, per the configured strategy.
   [[nodiscard]] NodeId PickNeighbor(NodeId i);
 
-  /// PickNeighbor against an explicit RNG stream (the parallel paths hand
-  /// each node its own; the sequential path passes rng()).  Mutates only
+  /// PickNeighbor against an explicit RNG stream (the per-node-stream paths
+  /// hand each node its own; the shared-stream paths pass rng()).  Mutates only
   /// node-owned probing state (round-robin cursor), so concurrent calls for
   /// distinct nodes are safe.
   [[nodiscard]] NodeId PickNeighborWith(NodeId i, common::Rng& rng);
@@ -188,9 +193,9 @@ class DeploymentEngine {
   /// its randomness (neighbor choice, per-leg loss) from a private RNG
   /// stream, which makes the round independent of node visit order; the
   /// result is bit-identical for every pool size.  The trajectory differs
-  /// from the sequential, channel-driven RunRounds (which serves mid-round
-  /// coordinates and shares one RNG stream).  Counters (measurements,
-  /// dropped legs) are updated exactly as the sequential round would.  The
+  /// from RunRounds (which serves mid-round coordinates and shares one RNG
+  /// stream).  Counters (measurements, dropped legs) are updated exactly as
+  /// a per-message round would.  The
   /// channel stack is bypassed — this is a perf path for the round driver,
   /// not a delivery channel.  Updates run through the scalar kernel table,
   /// so the active ISA never changes a bit.  One schedule per algorithm,
@@ -206,25 +211,33 @@ class DeploymentEngine {
   ///    stable by prober order) and one ParallelFor sweeps contiguous
   ///    target ranges — each range owns its targets' v rows and their
   ///    probers' u rows, so no barriers are needed.  Within one exchange
-  ///    the sequential order is reproduced exactly: the target consumes the
+  ///    the per-message order is reproduced exactly: the target consumes the
   ///    probe's u_i and updates v_j, the prober consumes the pre-update v_j;
   ///    same-target updates apply in ascending prober order.
   void ParallelRoundSweep(common::ThreadPool& pool);
 
   /// Runs one full probing round through the sparse round compiler
-  /// (DESIGN.md §14), sequentially: churn sweep, then a *gather* pass that
+  /// (DESIGN.md §14): churn sweep, then a sequential *gather* pass that
   /// consumes the shared RNG stream in exactly the per-message order (pick,
   /// leg-1 roll, leg-2 roll per exchange) while collecting the surviving
-  /// exchanges as COO edges, then an *execute* pass that replays the
-  /// gathered edges — in original order (Algorithm 1) or grouped by target
-  /// row, stable by message order (Algorithm 2) — as one fused kernel sweep
-  /// with no channel, no variant dispatch and no per-message coordinate
-  /// copies.  With the scalar `kernels` table the result is bit-identical
-  /// to a per-message round over an immediate channel (counters included);
-  /// vector tables differ only in dot accumulation order.  Rejects
-  /// probe_burst > 1 (the compiled gather models one exchange per node per
-  /// round).
-  void CompiledRoundSweep(const linalg::KernelOps& kernels);
+  /// exchanges as COO edges, then an *execute* pass over `pool` that
+  /// replays the gathered edges as fused kernel sweeps with no channel, no
+  /// variant dispatch and no per-message coordinate copies:
+  ///
+  ///  * Algorithm 1: consecutive windows of edges, one after another; inside
+  ///    a window the conflict components (the edge of prober p joined with
+  ///    the edge of prober t_p) run in parallel, each in ascending edge
+  ///    order — serially equivalent to replaying the edges in order;
+  ///  * Algorithm 2: the row-major target-group sweep ParallelRoundSweep
+  ///    also runs.
+  ///
+  /// With the scalar `kernels` table the result is bit-identical to a
+  /// per-message round over an immediate channel (counters included) at
+  /// every pool size; vector tables differ only in dot accumulation order.
+  /// Rejects probe_burst > 1 (the compiled gather models one exchange per
+  /// node per round).
+  void CompiledRoundSweep(common::ThreadPool& pool,
+                          const linalg::KernelOps& kernels);
 
   // -- sharded event drains ------------------------------------------------
 
@@ -321,9 +334,16 @@ class DeploymentEngine {
   /// target-group sweep.
   void ParallelTargetGroupSweep(common::ThreadPool& pool);
 
-  /// The sequential execute passes shared by CompiledRoundSweep.
-  void ExecuteCompiledRttRound(const linalg::KernelOps& kernels);
-  void ExecuteCompiledAbwRound(const linalg::KernelOps& kernels);
+  /// CompiledRoundSweep's Algorithm-1 execute: the windowed component
+  /// schedule over the gathered edges.
+  void ExecuteCompiledRttRound(common::ThreadPool& pool,
+                               const linalg::KernelOps& kernels);
+
+  /// The Algorithm-2 execute both round sweeps share: groups round_coo_ by
+  /// target and sweeps contiguous target ranges over `pool`, then reduces
+  /// the measurement counter and drift marks.
+  void ExecuteTargetGroups(common::ThreadPool& pool,
+                           const linalg::KernelOps& kernels);
 
   /// The training value for pair (i, j): class label (possibly corrupted) or
   /// τ-normalized quantity (the DESIGN.md §3 substitution).

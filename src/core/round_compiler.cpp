@@ -1,5 +1,8 @@
 #include "core/round_compiler.hpp"
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 
 namespace dmfsgd::core {
@@ -22,6 +25,44 @@ void RoundCoo::GroupByTarget(std::size_t node_count) {
   cursor_.assign(offsets_.begin(), offsets_.end() - 1);
   for (std::uint32_t e = 0; e < edges_.size(); ++e) {
     grouped_[cursor_[edges_[e].target]++] = e;
+  }
+}
+
+void RoundCoo::ComponentsByWindow(std::size_t node_count, std::size_t window) {
+  if (window == 0) {
+    throw std::invalid_argument("RoundCoo::ComponentsByWindow: window must be >= 1");
+  }
+  constexpr std::uint32_t kNoEdge = std::numeric_limits<std::uint32_t>::max();
+  edge_of_prober_.assign(node_count, kNoEdge);
+  for (std::uint32_t e = 0; e < edges_.size(); ++e) {
+    if (edges_[e].prober >= node_count || edges_[e].target >= node_count) {
+      throw std::out_of_range("RoundCoo::ComponentsByWindow: node out of range");
+    }
+    edge_of_prober_[edges_[e].prober] = e;
+  }
+  // Union-find whose links always point from the larger index to the
+  // smaller, so every parent precedes its child and the root is the
+  // component's first edge.
+  roots_.resize(edges_.size());
+  std::iota(roots_.begin(), roots_.end(), std::uint32_t{0});
+  const auto find = [this](std::uint32_t e) {
+    while (roots_[e] != e) {
+      roots_[e] = roots_[roots_[e]];  // path halving keeps parent < child
+      e = roots_[e];
+    }
+    return e;
+  };
+  for (std::uint32_t e = 0; e < edges_.size(); ++e) {
+    const std::uint32_t f = edge_of_prober_[edges_[e].target];
+    if (f != kNoEdge && f / window == e / window) {
+      const std::uint32_t a = find(e);
+      const std::uint32_t b = find(f);
+      roots_[std::max(a, b)] = std::min(a, b);
+    }
+  }
+  // Parents precede children, so one ascending pass flattens every path.
+  for (std::uint32_t e = 0; e < edges_.size(); ++e) {
+    roots_[e] = roots_[roots_[e]];
   }
 }
 

@@ -30,6 +30,16 @@
 //    row ranges with no phase barriers (each range owns its targets' v
 //    rows plus the u rows of their probers).
 //
+// Algorithm 1's in-order replay parallelizes too, by serial equivalence
+// over conflict-free components: cut the edge list into consecutive
+// windows; inside a window, edge p conflicts only with the edge of prober
+// t_p (whose rows it reads).  The connected components of those conflicts
+// touch disjoint rows, and every row a component reads from outside the
+// window is final (an earlier window wrote it) or untouched (a later one
+// will), so running each component in ascending edge order — components
+// in parallel, windows one after another — replays the sequential sweep
+// bit for bit (ComponentsByWindow).
+//
 // Within one group the compiled sweep still applies one step per message
 // (not one accumulated step per row): that is what keeps it bit-identical
 // to the sequential round.  Callers who want the one-apply-per-row
@@ -89,11 +99,25 @@ class RoundCoo {
         .subspan(offsets_[t], offsets_[t + 1] - offsets_[t]);
   }
 
+  /// Builds the Algorithm-1 conflict components: the edges split into
+  /// consecutive windows of `window` edges (the first starts at edge 0),
+  /// and inside a window the edge of prober p is joined with the edge of
+  /// prober t_p when both lie in it.  Root(e) afterwards is the smallest
+  /// edge index of e's component, so it lies in e's window and never after
+  /// e.  O(edges + node_count) union-find; deterministic.  Requires at most
+  /// one edge per prober, every endpoint < node_count, and window >= 1.
+  void ComponentsByWindow(std::size_t node_count, std::size_t window);
+
+  /// Component root of edge e; only valid after ComponentsByWindow.
+  [[nodiscard]] std::uint32_t Root(std::size_t e) const { return roots_[e]; }
+
  private:
   std::vector<RoundEdge> edges_;
   std::vector<std::uint32_t> offsets_;  // node_count + 1 group boundaries
   std::vector<std::uint32_t> grouped_;  // edge indices, grouped by target
   std::vector<std::uint32_t> cursor_;   // counting-sort scratch
+  std::vector<std::uint32_t> roots_;    // component root per edge
+  std::vector<std::uint32_t> edge_of_prober_;  // union-find scratch
 };
 
 // -- fused per-edge gradient steps ------------------------------------------

@@ -26,9 +26,28 @@ DmfsgdSimulation::DmfsgdSimulation(const datasets::Dataset& dataset,
                                    const ErrorInjector* injector)
     : engine_(dataset, config, injector, BuildStack(config)) {}
 
+bool DmfsgdSimulation::NeedsChannel() const noexcept {
+  return engine_.config().probe_burst > 1 || coalescing_.has_value() ||
+         wire_.has_value();
+}
+
+common::ThreadPool& DmfsgdSimulation::Pool() {
+  if (!pool_) {
+    pool_ = std::make_unique<common::ThreadPool>(0);
+  }
+  return *pool_;
+}
+
 void DmfsgdSimulation::RunRounds(std::size_t rounds) {
-  if (engine_.config().probe_burst > 1 || coalescing_.has_value() ||
-      wire_.has_value()) {
+  if (NeedsChannel()) {
+    RunRoundsPerMessage(rounds);
+    return;
+  }
+  RunRounds(rounds, Pool());
+}
+
+void DmfsgdSimulation::RunRounds(std::size_t rounds, common::ThreadPool& pool) {
+  if (NeedsChannel()) {
     RunRoundsPerMessage(rounds);
     return;
   }
@@ -37,7 +56,7 @@ void DmfsgdSimulation::RunRounds(std::size_t rounds) {
   const linalg::KernelOps& scalar =
       linalg::KernelsFor(linalg::KernelIsa::kScalar);
   for (std::size_t round = 0; round < rounds; ++round) {
-    engine_.CompiledRoundSweep(scalar);  // includes the churn sweep
+    engine_.CompiledRoundSweep(pool, scalar);  // includes the churn sweep
   }
 }
 

@@ -15,15 +15,18 @@
 // binary wire codec (a WireCodecDeliveryChannel decorator), proving the
 // protocol is implementable over a datagram transport.  Where no decorator
 // or burst needs the channel, RunRounds skips it and runs each round as one
-// compiled sweep (DESIGN.md §14) with the same bits.  All protocol,
+// compiled sweep (DESIGN.md §14) over a thread pool, with the same bits at
+// every pool size.  All protocol,
 // membership, measurement and loss semantics live in the engine and are
 // shared verbatim with the asynchronous driver (async_simulation.hpp).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 
 namespace dmfsgd::core {
@@ -40,16 +43,27 @@ class DmfsgdSimulation {
   /// Runs `rounds` probing rounds (static datasets); in each round every
   /// node probes one neighbor.  Usable with trace datasets too (the static
   /// median matrix is then the measurement source).  Runs the compiled
-  /// round sweep with the scalar kernel table whenever the config allows it
-  /// (probe_burst == 1, no coalescing, no wire codec), else the per-message
-  /// loop; the two are bit-identical, so the result does not depend on the
-  /// path or on the active kernel ISA (DESIGN.md §14).
+  /// round sweep with the scalar kernel table over Pool() whenever the
+  /// config allows it (probe_burst == 1, no coalescing, no wire codec),
+  /// else the per-message loop; the two are bit-identical, so the result
+  /// depends on neither the path, the pool size nor the active kernel ISA
+  /// (DESIGN.md §14).
   void RunRounds(std::size_t rounds);
+
+  /// RunRounds with the compiled sweep spread over `pool` instead of
+  /// Pool() — the same bits at any pool size.
+  void RunRounds(std::size_t rounds, common::ThreadPool& pool);
 
   /// RunRounds through the channel stack, one message at a time — the path
   /// for probe bursts, coalesced delivery and the wire codec, and the
   /// parity oracle of the compiled round sweep.
   void RunRoundsPerMessage(std::size_t rounds);
+
+  /// The simulation's hardware-thread pool, created on first use (the
+  /// first compiled RunRounds, or a caller such as the service that runs
+  /// its own parallel work on it).  Construction never creates it.  Not
+  /// reentrant: nothing may enter it while RunRounds runs.
+  [[nodiscard]] common::ThreadPool& Pool();
 
   /// Runs `rounds` probing rounds with each round's per-node sweep spread
   /// over `pool`.  Bit-identical for every pool size and kernel ISA — see
@@ -155,6 +169,9 @@ class DmfsgdSimulation {
  private:
   [[nodiscard]] DeliveryChannel& BuildStack(const SimulationConfig& config);
 
+  /// True when a burst or a channel decorator needs the per-message loop.
+  [[nodiscard]] bool NeedsChannel() const noexcept;
+
   /// Channel stack: immediate delivery, optionally decorated by the wire
   /// codec, optionally wrapped outermost by the coalescing decorator
   /// (config.coalesce_delivery — RunRoundsPerMessage then flushes each
@@ -164,6 +181,7 @@ class DmfsgdSimulation {
   std::optional<WireCodecDeliveryChannel> wire_;
   std::optional<CoalescingDeliveryChannel> coalescing_;
   DeploymentEngine engine_;
+  std::unique_ptr<common::ThreadPool> pool_;  ///< Pool(), built on first use
 };
 
 }  // namespace dmfsgd::core

@@ -54,7 +54,7 @@ CoordinateService::CoordinateService(const datasets::Dataset& dataset,
     }
   }
   simulation_.EnableDriftTracking();
-  index_.emplace(store(), config_.index, &build_pool_);
+  index_.emplace(store(), config_.index, &simulation_.Pool());
   if (!config_.snapshot_dir.empty()) {
     log_.emplace(config_.snapshot_dir, store());
   }
@@ -222,7 +222,7 @@ void CoordinateService::RefreshIndex() {
   DrainDirty();
   const std::vector<core::NodeId> dirty = TakeMask(pending_index_);
   const ann::PeerIndex::UpdateStats update =
-      index_->ApplyUpdates(dirty, &build_pool_);
+      index_->ApplyUpdates(dirty, &simulation_.Pool());
   ++stats_.index_refreshes;
   stats_.index_relinks += update.relinked;
   if (update.rebuilt) {

@@ -46,10 +46,12 @@
 // are pure reads: on a quiescent service, N-thread query results are
 // bit-identical to single-thread (the walk is a pure function of the
 // index and the store — pinned by the concurrent-query tests).  The
-// service also owns one hardware-thread pool, used only to build the index
-// at start-up and to run escalated rebuilds under the exclusive lock; the
-// index is bit-identical at any pool size (DESIGN.md §16), so the pool
-// size is not a config knob.
+// service runs its parallel work on one pool, the simulation's
+// hardware-thread pool: the index build at start-up, escalated rebuilds and
+// IngestRounds' round sweeps.  Each runs under the exclusive lock (or in the
+// constructor), so the pool is never entered twice, and each is
+// bit-identical at any pool size (DESIGN.md §14, §16), so the pool size is
+// not a config knob.
 #pragma once
 
 #include <atomic>
@@ -60,7 +62,6 @@
 #include <vector>
 
 #include "ann/peer_index.hpp"
-#include "common/thread_pool.hpp"
 #include "core/simulation.hpp"
 #include "svc/snapshot_log.hpp"
 
@@ -128,7 +129,8 @@ class CoordinateService {
 
   /// Warm-up / background training: full probing rounds (every node probes
   /// once per round) through DmfsgdSimulation::RunRounds, which runs them
-  /// compiled whenever the config allows it (DESIGN.md §14).  Counts as
+  /// compiled over the service's pool whenever the config allows it
+  /// (DESIGN.md §14).  Counts as
   /// NodeCount() ingests per round against the staleness budget and
   /// snapshot interval.
   void IngestRounds(std::size_t rounds);
@@ -224,9 +226,6 @@ class CoordinateService {
 
   ServiceConfig config_;
   core::DmfsgdSimulation simulation_;
-  // Hardware-thread pool for the index build and escalated rebuilds;
-  // nothing else runs on it.
-  common::ThreadPool build_pool_{0};
   std::optional<ann::PeerIndex> index_;    // engaged for the service's life
   std::optional<SnapshotLogWriter> log_;   // engaged iff persistence is on
 

@@ -1,17 +1,19 @@
 // Parity pins for the sparse round compiler of DESIGN.md §14.
 //
-// The load-bearing claim: the compiled sequential round RunRounds runs is
+// The load-bearing claim: the compiled round RunRounds runs is
 // bit-identical to the per-message round driver, because the gather pass
 // replays the per-message RNG draw order verbatim and the fused executor
 // applies the same arithmetic expression per edge through the scalar
-// kernel table.  Pinned across both exchange algorithms, message loss,
+// kernel table, in a serially equivalent order.  Pinned across both exchange algorithms, message loss,
 // churn, every probe strategy, and the singleton/one-round edge cases.
-// (The parallel sweep's pins live in parallel_sweep_test.cpp.)
+// (Pool-size pins live in compiled_round_parallel_test.cpp, the parallel
+// sweep's in parallel_sweep_test.cpp.)
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <stdexcept>
 
+#include "common/thread_pool.hpp"
 #include "core/simulation.hpp"
 #include "datasets/hps3.hpp"
 #include "datasets/meridian.hpp"
@@ -77,7 +79,7 @@ void ExpectCompiledMatchesPerMessage(const Dataset& dataset,
 }
 
 // ------------------------------------------------------------------------
-// Sequential compiled rounds (Algorithm 1, RTT)
+// Compiled rounds (Algorithm 1, RTT)
 
 TEST(CompiledRound, RttBitIdenticalWithLossAndChurn) {
   const Dataset dataset = SmallRtt();
@@ -114,7 +116,7 @@ TEST(CompiledRound, SingleRoundIsTheSingletonCase) {
 }
 
 // ------------------------------------------------------------------------
-// Sequential compiled rounds (Algorithm 2, ABW)
+// Compiled rounds (Algorithm 2, ABW)
 
 TEST(CompiledRoundAlg2, AbwBitIdenticalWithLossAndChurn) {
   const Dataset dataset = SmallAbw();
@@ -157,9 +159,10 @@ TEST(CompiledRound, RejectsProbeBursts) {
   config.probe_burst = 3;
   ImmediateDeliveryChannel channel;
   DeploymentEngine engine(dataset, config, nullptr, channel);
-  EXPECT_THROW(
-      engine.CompiledRoundSweep(linalg::KernelsFor(linalg::KernelIsa::kScalar)),
-      std::logic_error);
+  common::ThreadPool pool(1);
+  EXPECT_THROW(engine.CompiledRoundSweep(
+                   pool, linalg::KernelsFor(linalg::KernelIsa::kScalar)),
+               std::logic_error);
   DmfsgdSimulation simulation(dataset, config);
   EXPECT_NO_THROW(simulation.RunRounds(1));
   EXPECT_EQ(simulation.MeasurementCount(), 3 * dataset.NodeCount());
