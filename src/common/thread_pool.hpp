@@ -5,8 +5,8 @@
 // per-index work touches only index-owned state.  ParallelFor splits the
 // range into `thread_count()` fixed contiguous blocks — block boundaries
 // depend only on the range and the pool size, never on scheduling — and runs
-// one block per thread, the calling thread included.  There is no work
-// stealing and no dynamic chunking: a given (range, pool size) always yields
+// one block per thread, the calling thread included.  ParallelFor has no
+// work stealing and no dynamic chunking: a given (range, pool size) yields
 // the same block layout, so any computation whose per-index work is a pure
 // function of index-owned state produces bit-identical results for every
 // pool size, including 1 (which runs inline on the caller with no threads at
@@ -29,16 +29,20 @@
 //
 // Or the work is serially equivalent over conflict-free components: the
 // indices are steps with a fixed serial order, steps that touch a common
-// row form one component, the block that owns a component runs all of its
-// steps in serial order, and every row a component reads but does not own
-// is frozen for the call.  Components then share no row, so any
-// interleaving equals the serial order (the compiled round's windowed
-// schedule, DESIGN.md §14).  The same no-reduction rule applies.
+// row form one component, one thread runs all of a component's steps in
+// serial order, and every row a component reads but does not own is
+// frozen for the call.  Components then share no row, so any interleaving
+// — and any assignment of components to threads — equals the serial order
+// (the compiled round's windowed schedule, DESIGN.md §14).  ForEachChunk
+// serves this schedule: it hands chunks of whole components to whichever
+// thread is free, so a slow core delays the join by one chunk, not by a
+// fixed block.  The same no-reduction rule applies.
 //
 // Violating either schedule silently reintroduces schedule dependence —
 // the determinism tests catch it only for the paths they pin.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -91,8 +95,25 @@ class ThreadPool {
   /// ParallelFor on the same pool.
   void ParallelFor(std::size_t begin, std::size_t end, const RangeFn& fn);
 
+  /// fn(chunk): processes one chunk.
+  using ChunkFn = std::function<void(std::size_t)>;
+
+  /// Invokes fn once for each chunk in [0, count), each on whichever thread
+  /// claims it first (the calling thread claims too), and returns when every
+  /// chunk has finished.  The join waits for chunks, never for a worker that
+  /// claimed none, so a worker that is slow to wake costs parallelism, not
+  /// wall time.  Only for work whose result cannot depend on which thread
+  /// runs which chunk (the second schedule above).  Exceptions and
+  /// reentrancy as in ParallelFor.  Requires count < 2^32.
+  void ForEachChunk(std::size_t count, const ChunkFn& fn);
+
  private:
   void WorkerLoop(std::size_t block_index);
+
+  /// Claims and runs chunks of the ForEachChunk job tagged `tag` until none
+  /// is left.  fn is dereferenced only after a claim succeeds, and a job
+  /// cannot end while one of its chunks runs, so a stale pointer is safe.
+  void RunChunks(std::uint32_t tag, const ChunkFn* fn, std::size_t count);
 
   /// Bounds of `block` when [begin, end) is split into thread_count() parts:
   /// the first (size % parts) blocks get one extra element.
@@ -113,6 +134,16 @@ class ThreadPool {
   std::size_t remaining_ = 0;         ///< worker blocks not yet finished
   std::exception_ptr first_error_;
   bool stop_ = false;
+
+  // The latest job is a ForEachChunk job iff chunk_fn_ != nullptr.  The
+  // pointer outlives its job: a worker that wakes late reads it, but its
+  // claim then fails, so it never calls it.
+  const ChunkFn* chunk_fn_ = nullptr;
+  std::size_t chunk_count_ = 0;
+  /// (low 32 bits of the job's epoch << 32) | next unclaimed chunk: a
+  /// worker still holding an older job's tag can claim nothing.
+  std::atomic<std::uint64_t> claim_{0};
+  std::atomic<std::size_t> chunks_done_{0};
 };
 
 }  // namespace dmfsgd::common

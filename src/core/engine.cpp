@@ -17,10 +17,15 @@ using datasets::Metric;
 
 /// Edges per conflict window of the Algorithm-1 execute (DESIGN.md §14).
 /// Each window costs one fork-join.  Measured at n = 65536, k = 32 on a
-/// 4-vCPU host: 4096-16384 ran within ~10% of each other on an idle host
-/// (1024 and 32768 were slower), and with other processes competing for
-/// the cores 16384 held up best.
+/// 4-vCPU host with one fixed block of each window per thread: 4096-16384
+/// ran within ~10% of each other on an idle host (1024 and 32768 were
+/// slower), and with other processes competing for the cores 16384 held
+/// up best.
 constexpr std::size_t kRttWindow = 16384;
+/// Component roots per claimed chunk: small enough that a core slowed by
+/// other load holds up a window's join by one short chunk, large enough
+/// that claiming costs nothing measurable.
+constexpr std::size_t kRttChunk = 256;
 
 /// Throwing pass-through so the config is validated before any member that
 /// depends on it (the store sizes itself off config.rank) is built.  The
@@ -297,31 +302,31 @@ void DeploymentEngine::ExecuteCompiledRttRound(
   // were fresh at reply time.  The sequential replay of the edges is the
   // reference; the windowed schedule reproduces it bit for bit (serial
   // equivalence, DESIGN.md §14).  Inside a window, each conflict component
-  // runs in ascending edge order on the block owning its root (its first
-  // edge); a component's rows are its own, and the rows it reads from
-  // outside the window are final (earlier windows) or untouched (later
-  // ones), so neither the pool size nor the block timing can reach a bit.
+  // runs in ascending edge order on one thread — whichever claims the
+  // chunk of roots (first edges) it falls in; a component's rows are its
+  // own, and the rows it reads from outside the window are final (earlier
+  // windows) or untouched (later ones), so neither the pool size nor the
+  // claim order can reach a bit.
   const std::size_t m = round_coo_.EdgeCount();
   round_coo_.ComponentsByWindow(nodes_.size(), kRttWindow);
   const auto& edges = round_coo_.Edges();
   const std::size_t r = config_.rank;
+  const auto run = [&](std::uint32_t e) {
+    const RoundEdge& edge = edges[e];
+    const double x = MeasurementFor(edge.prober, edge.target, std::nullopt);
+    RecordNeighborLoss(edge.prober, edge.target, x, store_.V(edge.target));
+    CompiledRttStep(kernels, config_.params, x, store_.U(edge.target).data(),
+                    store_.V(edge.target).data(), store_.U(edge.prober).data(),
+                    store_.V(edge.prober).data(), r);
+  };
   for (std::size_t window = 0; window < m; window += kRttWindow) {
     const std::size_t window_end = std::min(m, window + kRttWindow);
-    pool.ParallelFor(window, window_end, [&](std::size_t lo, std::size_t hi) {
-      // A root never follows its edges, so edges rooted in [lo, hi) all
-      // lie in [lo, window_end).
-      for (std::size_t e = lo; e < window_end; ++e) {
-        const std::uint32_t root = round_coo_.Root(e);
-        if (root < lo || root >= hi) {
-          continue;
-        }
-        const RoundEdge& edge = edges[e];
-        const double x = MeasurementFor(edge.prober, edge.target, std::nullopt);
-        RecordNeighborLoss(edge.prober, edge.target, x, store_.V(edge.target));
-        CompiledRttStep(kernels, config_.params, x, store_.U(edge.target).data(),
-                        store_.V(edge.target).data(),
-                        store_.U(edge.prober).data(),
-                        store_.V(edge.prober).data(), r);
+    const std::size_t chunks = (window_end - window + kRttChunk - 1) / kRttChunk;
+    pool.ForEachChunk(chunks, [&](std::size_t chunk) {
+      const std::size_t first = window + chunk * kRttChunk;
+      for (const std::uint32_t e :
+           round_coo_.ComponentsRootedIn(first, std::min(window_end, first + kRttChunk))) {
+        run(e);
       }
     });
   }

@@ -61,8 +61,18 @@ void RoundCoo::ComponentsByWindow(std::size_t node_count, std::size_t window) {
     }
   }
   // Parents precede children, so one ascending pass flattens every path.
+  // Then a counting sort by root, stable by edge index, lays each
+  // component out contiguously in ascending edge order.
+  root_offsets_.assign(edges_.size() + 1, 0);
   for (std::uint32_t e = 0; e < edges_.size(); ++e) {
     roots_[e] = roots_[roots_[e]];
+    ++root_offsets_[roots_[e] + 1];
+  }
+  std::partial_sum(root_offsets_.begin(), root_offsets_.end(), root_offsets_.begin());
+  cursor_.assign(root_offsets_.begin(), root_offsets_.end() - 1);
+  by_root_.resize(edges_.size());
+  for (std::uint32_t e = 0; e < edges_.size(); ++e) {
+    by_root_[cursor_[roots_[e]]++] = e;
   }
 }
 

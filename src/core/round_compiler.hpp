@@ -102,14 +102,22 @@ class RoundCoo {
   /// Builds the Algorithm-1 conflict components: the edges split into
   /// consecutive windows of `window` edges (the first starts at edge 0),
   /// and inside a window the edge of prober p is joined with the edge of
-  /// prober t_p when both lie in it.  Root(e) afterwards is the smallest
-  /// edge index of e's component, so it lies in e's window and never after
-  /// e.  O(edges + node_count) union-find; deterministic.  Requires at most
-  /// one edge per prober, every endpoint < node_count, and window >= 1.
+  /// prober t_p when both lie in it.  A component's root is its smallest
+  /// edge index, so it lies in the component's window and never after any
+  /// of its edges; ComponentsRootedIn lists the components by root.
+  /// O(edges + node_count) union-find and counting sort; deterministic.
+  /// Requires at most one edge per prober, every endpoint < node_count, and
+  /// window >= 1.
   void ComponentsByWindow(std::size_t node_count, std::size_t window);
 
-  /// Component root of edge e; only valid after ComponentsByWindow.
-  [[nodiscard]] std::uint32_t Root(std::size_t e) const { return roots_[e]; }
+  /// The edges of every component whose root lies in [first, last), one
+  /// component after another, each in ascending edge order.  Only valid
+  /// after ComponentsByWindow; requires first <= last <= EdgeCount().
+  [[nodiscard]] std::span<const std::uint32_t> ComponentsRootedIn(
+      std::size_t first, std::size_t last) const {
+    return std::span<const std::uint32_t>(by_root_)
+        .subspan(root_offsets_[first], root_offsets_[last] - root_offsets_[first]);
+  }
 
  private:
   std::vector<RoundEdge> edges_;
@@ -118,6 +126,8 @@ class RoundCoo {
   std::vector<std::uint32_t> cursor_;   // counting-sort scratch
   std::vector<std::uint32_t> roots_;    // component root per edge
   std::vector<std::uint32_t> edge_of_prober_;  // union-find scratch
+  std::vector<std::uint32_t> root_offsets_;  // edges + 1 boundaries by root
+  std::vector<std::uint32_t> by_root_;       // edge indices, grouped by root
 };
 
 // -- fused per-edge gradient steps ------------------------------------------

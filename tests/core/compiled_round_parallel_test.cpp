@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -35,6 +36,21 @@ using datasets::Dataset;
 // ------------------------------------------------------------------------
 // The windowed conflict components themselves.
 
+using ComponentMap = std::map<std::uint32_t, std::vector<std::uint32_t>>;
+
+/// Every component of the last ComponentsByWindow, keyed by its root (its
+/// first edge): what ComponentsRootedIn lists for that one root.
+ComponentMap Components(const RoundCoo& coo) {
+  ComponentMap out;
+  for (std::size_t root = 0; root < coo.EdgeCount(); ++root) {
+    const auto edges = coo.ComponentsRootedIn(root, root + 1);
+    if (!edges.empty()) {
+      out[static_cast<std::uint32_t>(root)] = {edges.begin(), edges.end()};
+    }
+  }
+  return out;
+}
+
 TEST(RoundCooComponents, JoinOnlyWithinAWindow) {
   // Prober p probes target(p); edges are indexed by prober here.
   RoundCoo coo;
@@ -42,19 +58,20 @@ TEST(RoundCooComponents, JoinOnlyWithinAWindow) {
   for (NodeId p = 0; p < 6; ++p) {
     coo.Add(p, targets[p], true);
   }
-  const auto roots = [&] {
-    std::vector<std::uint32_t> out;
-    for (std::size_t e = 0; e < coo.EdgeCount(); ++e) {
-      out.push_back(coo.Root(e));
-    }
-    return out;
-  };
   coo.ComponentsByWindow(6, 6);  // one window: two 3-cycles
-  EXPECT_EQ(roots(), (std::vector<std::uint32_t>{0, 0, 2, 0, 2, 2}));
+  EXPECT_EQ(Components(coo), (ComponentMap{{0, {0, 1, 3}}, {2, {2, 4, 5}}}));
+  // A root range lists its components one after another, each in
+  // ascending edge order.
+  const auto all = coo.ComponentsRootedIn(0, 6);
+  EXPECT_EQ(std::vector<std::uint32_t>(all.begin(), all.end()),
+            (std::vector<std::uint32_t>{0, 1, 3, 2, 4, 5}));
+  EXPECT_TRUE(coo.ComponentsRootedIn(3, 6).empty());
   coo.ComponentsByWindow(6, 3);  // windows {0,1,2} {3,4,5}
-  EXPECT_EQ(roots(), (std::vector<std::uint32_t>{0, 0, 2, 3, 4, 4}));
+  EXPECT_EQ(Components(coo),
+            (ComponentMap{{0, {0, 1}}, {2, {2}}, {3, {3}}, {4, {4, 5}}}));
   coo.ComponentsByWindow(6, 1);  // every edge alone
-  EXPECT_EQ(roots(), (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(Components(coo), (ComponentMap{{0, {0}}, {1, {1}}, {2, {2}},
+                                           {3, {3}}, {4, {4}}, {5, {5}}}));
 }
 
 TEST(RoundCooComponents, ProbersWithoutAnEdgeJoinNothing) {
@@ -66,10 +83,7 @@ TEST(RoundCooComponents, ProbersWithoutAnEdgeJoinNothing) {
   coo.Add(3, 2, true);  // e2 reads e1's rows
   coo.Add(5, 1, true);  // e3: prober 1 has no edge
   coo.ComponentsByWindow(6, 4);
-  EXPECT_EQ(coo.Root(0), 0u);
-  EXPECT_EQ(coo.Root(1), 0u);
-  EXPECT_EQ(coo.Root(2), 0u);
-  EXPECT_EQ(coo.Root(3), 3u);
+  EXPECT_EQ(Components(coo), (ComponentMap{{0, {0, 1, 2}}, {3, {3}}}));
   EXPECT_THROW(coo.ComponentsByWindow(6, 0), std::invalid_argument);
 }
 
